@@ -43,6 +43,7 @@
 // replays seeded multi-tenant GEMM traffic through the serving layer
 // (tc::serve) against the same cache (see docs/serving.md).
 // All commands accept --json <path> for machine-readable output.
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -116,6 +117,16 @@ struct Args {
   std::string act = "none";  // op: activation (none|relu|gelu)
 };
 
+/// Parses a count flag's value: a whole decimal integer >= `min`. Anything
+/// else fails closed with a diagnostic naming the flag.
+int count_flag(const std::string& flag, const std::string& text, int min) {
+  int v = 0;
+  const auto r = std::from_chars(text.data(), text.data() + text.size(), v);
+  TC_CHECK(r.ec == std::errc{} && r.ptr == text.data() + text.size() && v >= min,
+           flag + " needs an integer >= " + std::to_string(min) + ", got '" + text + "'");
+  return v;
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 2) return a;
@@ -149,9 +160,9 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--profile") {
       a.profile = true;
     } else if (flag == "--top") {
-      a.top = std::stoi(value());
+      a.top = count_flag(flag, value(), 0);
     } else if (flag == "--programs") {
-      a.programs = std::stoi(value());
+      a.programs = count_flag(flag, value(), 1);
     } else if (flag == "--seed") {
       a.seed = std::stoull(value());
     } else if (flag == "--trace-out") {
@@ -167,19 +178,19 @@ Args parse(int argc, char** argv) {
                    a.engine == "jit" || a.engine == "timed",
                "--engine must be one of model|device|interpret|jit|timed");
     } else if (flag == "--budget") {
-      a.budget = std::stoi(value());
+      a.budget = count_flag(flag, value(), 1);
     } else if (flag == "--explore") {
-      a.explore = std::stoi(value());
+      a.explore = count_flag(flag, value(), -1);
     } else if (flag == "--threads") {
-      a.threads = std::stoi(value());
+      a.threads = count_flag(flag, value(), 1);
     } else if (flag == "--cache") {
       a.cache = value();
     } else if (flag == "--requests") {
-      a.requests = std::stoi(value());
+      a.requests = count_flag(flag, value(), 1);
     } else if (flag == "--tenants") {
-      a.tenants = std::stoi(value());
+      a.tenants = count_flag(flag, value(), 1);
     } else if (flag == "--workers") {
-      a.workers = std::stoi(value());
+      a.workers = count_flag(flag, value(), 1);
     } else if (flag == "--numerics") {
       const std::string v = value();
       TC_CHECK(numerics::parse_numerics_mode(v, a.numerics),
@@ -187,9 +198,9 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--numeric-operands") {
       a.numeric_operands = true;
     } else if (flag == "--batch") {
-      a.batch = std::stoi(value());
+      a.batch = count_flag(flag, value(), 1);
     } else if (flag == "--split-k") {
-      a.split_k = std::stoi(value());
+      a.split_k = count_flag(flag, value(), 1);
     } else if (flag == "--alpha") {
       a.alpha = std::stod(value());
     } else if (flag == "--beta") {

@@ -54,6 +54,14 @@ for dev in rtx2070 t4; do
   ./build/examples/tcgemm_cli tune --device "$dev" --budget 6 >/dev/null
 done
 ctest --test-dir build --output-on-failure -L "tune_smoke|examples_smoke" -j "$JOBS"
+# A 60k-deep tuning-cache file must be an unreadable cache (cold start,
+# exit 0), not a stack overflow in the JSON parser.
+deep="build/deep_cache.json"
+python3 -c "import sys; sys.stdout.write('[' * 60000)" > "$deep"
+out=$(./build/examples/tcgemm_cli tune --budget 1 --cache "$deep")
+grep -q "unreadable tuning cache" <<< "$out" \
+  || { echo "deep tuning cache was not a clean cold start"; exit 1; }
+rm -f "$deep"
 
 echo "== serve smoke: seeded traffic + persistent cache on both specs =="
 # The serve_smoke CTest label runs the serving-layer suite (warm-cache

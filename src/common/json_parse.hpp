@@ -4,7 +4,9 @@
 // regression tests to load bench --json output back in and compare it with
 // tolerance. Accepts exactly the subset the repo's writer emits (RFC 8259
 // minus \uXXXX escapes beyond the control-character form the writer
-// produces); malformed input trips TC_CHECK with a byte offset.
+// produces); malformed input trips TC_CHECK with a byte offset, and so does
+// nesting deeper than JsonParser::kMaxDepth (the parser recurses once per
+// level, so an unbounded chain of '[' would overflow the stack).
 #pragma once
 
 #include <cctype>
@@ -92,6 +94,10 @@ namespace detail {
 
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted. The repo's documents nest a few
+  /// levels; the bound only has to keep recursion far from the stack limit.
+  static constexpr int kMaxDepth = 256;
+
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
@@ -138,8 +144,14 @@ class JsonParser {
 
   JsonValue parse_value() {
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      TC_CHECK(depth_ < kMaxDepth,
+               err("JSON nesting deeper than " + std::to_string(kMaxDepth) + " levels"));
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (consume_word("true")) return JsonValue(true);
     if (consume_word("false")) return JsonValue(false);
@@ -230,6 +242,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace detail

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -116,14 +117,24 @@ struct HgemmConfig {
   /// least two slabs (the double-buffered main loop needs >= 2 iterations).
   /// With split_k > 1 each K slice independently needs whole slabs and the
   /// two-iteration floor, so the padded k is split_k * padded-slice.
+  /// Throws tc::Error, naming the dimension, if the padding would overflow.
   [[nodiscard]] GemmShape contract_shape(const GemmShape& s) const {
-    const auto round_up = [](std::size_t v, std::size_t to) { return (v + to - 1) / to * to; };
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    const auto round_up = [](std::size_t v, std::size_t to, const char* dim) {
+      TC_CHECK(v <= kMax - (to - 1), std::string("GEMM ") + dim + " = " + std::to_string(v) +
+                                         " overflows when padded to a multiple of " +
+                                         std::to_string(to));
+      return (v + to - 1) / to * to;
+    };
     const auto slices = static_cast<std::size_t>(split_k);
-    const std::size_t per_slice =
-        std::max(round_up((s.k + slices - 1) / slices, static_cast<std::size_t>(bk)),
-                 static_cast<std::size_t>(2 * bk));
-    return {round_up(s.m, static_cast<std::size_t>(bm)),
-            round_up(s.n, static_cast<std::size_t>(bn)), per_slice * slices};
+    const std::size_t slice_k = s.k / slices + (s.k % slices != 0 ? 1 : 0);
+    const std::size_t per_slice = std::max(
+        round_up(slice_k, static_cast<std::size_t>(bk), "k"), static_cast<std::size_t>(2 * bk));
+    TC_CHECK(per_slice <= kMax / slices,
+             "GEMM k = " + std::to_string(s.k) + " overflows when padded to " +
+                 std::to_string(slices) + " K slices");
+    return {round_up(s.m, static_cast<std::size_t>(bm), "m"),
+            round_up(s.n, static_cast<std::size_t>(bn), "n"), per_slice * slices};
   }
 
   /// K elements one z slice of the contract shape loops over.

@@ -118,29 +118,33 @@ model::SteadyState PerfEstimator::measure_steady(double l2_hit_rate, double dram
   return steady;
 }
 
+model::L2ReuseInput l2_reuse_input(const device::DeviceSpec& spec, const HgemmConfig& cfg,
+                                   const GemmShape& shape, int ctas_per_sm) {
+  // The padded m/n give the launched grid (and reject shapes whose padding
+  // would overflow); k_iters follows the caller's k.
+  const GemmShape padded = cfg.contract_shape(shape);
+  model::L2ReuseInput in;
+  in.bm = cfg.bm;
+  in.bn = cfg.bn;
+  in.bk = cfg.bk;
+  in.grid_x = padded.n / static_cast<std::size_t>(cfg.bn);
+  in.grid_y = padded.m / static_cast<std::size_t>(cfg.bm);
+  in.wave_ctas = spec.num_sms * ctas_per_sm;
+  in.order = cfg.launch_order;
+  in.swizzle_max_grid_x = cfg.swizzle_max_grid_x;
+  in.supertile_width = cfg.supertile_width;
+  in.k_iters = std::ceil(static_cast<double>(shape.k) / cfg.bk);
+  in.l2_capacity = spec.l2_size_bytes;
+  return in;
+}
+
 PerfPoint PerfEstimator::estimate(const GemmShape& shape) {
   PerfPoint p;
   p.shape = shape;
   p.ctas_per_sm = ctas_per_sm_;
 
-  const auto grid_x = (shape.n + static_cast<std::size_t>(cfg_.bn) - 1) /
-                      static_cast<std::size_t>(cfg_.bn);
-  const auto grid_y = (shape.m + static_cast<std::size_t>(cfg_.bm) - 1) /
-                      static_cast<std::size_t>(cfg_.bm);
-
-  model::L2ReuseInput reuse_in;
-  reuse_in.bm = cfg_.bm;
-  reuse_in.bn = cfg_.bn;
-  reuse_in.bk = cfg_.bk;
-  reuse_in.grid_x = grid_x;
-  reuse_in.grid_y = grid_y;
-  reuse_in.wave_ctas = spec_.num_sms * ctas_per_sm_;
-  reuse_in.order = cfg_.launch_order;
-  reuse_in.swizzle_max_grid_x = cfg_.swizzle_max_grid_x;
-  reuse_in.supertile_width = cfg_.supertile_width;
-  reuse_in.k_iters = std::ceil(static_cast<double>(shape.k) / cfg_.bk);
-  reuse_in.l2_capacity = spec_.l2_size_bytes;
-  const model::L2Reuse reuse = model::l2_reuse_predict(reuse_in);
+  const model::L2Reuse reuse =
+      model::l2_reuse_predict(l2_reuse_input(spec_, cfg_, shape, ctas_per_sm_));
   p.l2_hit_rate = reuse.ldg_l2_hit_rate;
   p.dram_efficiency = model::dram_row_efficiency(static_cast<double>(shape.k) * 2.0);
 

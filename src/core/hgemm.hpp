@@ -60,6 +60,14 @@ struct PerfPoint {
   int ctas_per_sm = 0;
 };
 
+/// The L2-model input for `cfg` on `shape` with `ctas_per_sm` resident CTAs
+/// per SM — the one place an HgemmConfig becomes a model::L2ReuseInput.
+/// PerfEstimator, profile_hgemm and tune::predicted_l2_hit_rate all build
+/// their reuse inputs here, so their hit rates agree by construction.
+[[nodiscard]] model::L2ReuseInput l2_reuse_input(const device::DeviceSpec& spec,
+                                                 const HgemmConfig& cfg, const GemmShape& shape,
+                                                 int ctas_per_sm);
+
 /// Estimates full-device HGEMM time for a kernel configuration on a device.
 /// Steady-state measurements are cached by (hit-rate, efficiency) bucket so
 /// sweeps over many sizes stay fast.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/hgemm.hpp"
 #include "core/kernel_gen.hpp"
 #include "device/occupancy.hpp"
 #include "model/l2_reuse.hpp"
@@ -59,23 +60,8 @@ HgemmProfile profile_hgemm(const device::DeviceSpec& spec, const HgemmConfig& cf
   out.ctas_per_sm = surrogate_ctas_per_sm(spec, cfg);
 
   // The same model inputs PerfEstimator::estimate feeds the timed run.
-  const auto grid_x =
-      (shape.n + static_cast<std::size_t>(cfg.bn) - 1) / static_cast<std::size_t>(cfg.bn);
-  const auto grid_y =
-      (shape.m + static_cast<std::size_t>(cfg.bm) - 1) / static_cast<std::size_t>(cfg.bm);
-  model::L2ReuseInput reuse_in;
-  reuse_in.bm = cfg.bm;
-  reuse_in.bn = cfg.bn;
-  reuse_in.bk = cfg.bk;
-  reuse_in.grid_x = grid_x;
-  reuse_in.grid_y = grid_y;
-  reuse_in.wave_ctas = spec.num_sms * out.ctas_per_sm;
-  reuse_in.order = cfg.launch_order;
-  reuse_in.swizzle_max_grid_x = cfg.swizzle_max_grid_x;
-  reuse_in.supertile_width = cfg.supertile_width;
-  reuse_in.k_iters = std::ceil(static_cast<double>(shape.k) / cfg.bk);
-  reuse_in.l2_capacity = spec.l2_size_bytes;
-  out.l2_hit_rate = model::l2_reuse_predict(reuse_in).ldg_l2_hit_rate;
+  out.l2_hit_rate =
+      model::l2_reuse_predict(l2_reuse_input(spec, cfg, shape, out.ctas_per_sm)).ldg_l2_hit_rate;
   out.dram_efficiency = model::dram_row_efficiency(static_cast<double>(shape.k) * 2.0);
 
   // Enough iterations to dominate prologue/epilogue, capped so huge k stays

@@ -67,87 +67,11 @@ int StackDistance::access(std::uint64_t block_id, double bytes) {
   return region;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> launch_trace(LaunchOrder order,
-                                                                  std::uint32_t grid_x,
-                                                                  std::uint32_t grid_y,
-                                                                  int supertile_width) {
-  TC_CHECK(grid_x >= 1 && grid_y >= 1, "launch_trace: empty grid");
-  TC_CHECK(supertile_width >= 1, "launch_trace: supertile width must be >= 1");
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> seq;
-  seq.reserve(static_cast<std::size_t>(grid_x) * grid_y);
-  switch (order) {
-    case LaunchOrder::kRowMajor:
-    case LaunchOrder::kSwizzled:
-      // kSwizzled is dispatched row-major by the simulator; trace likewise.
-      for (std::uint32_t y = 0; y < grid_y; ++y) {
-        for (std::uint32_t x = 0; x < grid_x; ++x) seq.emplace_back(x, y);
-      }
-      break;
-    case LaunchOrder::kSerpentine:
-      for (std::uint32_t y = 0; y < grid_y; ++y) {
-        if (y % 2 == 0) {
-          for (std::uint32_t x = 0; x < grid_x; ++x) seq.emplace_back(x, y);
-        } else {
-          for (std::uint32_t x = grid_x; x-- > 0;) seq.emplace_back(x, y);
-        }
-      }
-      break;
-    case LaunchOrder::kSupertile: {
-      const std::uint32_t w = std::min<std::uint32_t>(
-          static_cast<std::uint32_t>(supertile_width), grid_x);
-      for (std::uint32_t x0 = 0; x0 < grid_x; x0 += w) {
-        const std::uint32_t x1 = std::min(x0 + w, grid_x);
-        for (std::uint32_t y = 0; y < grid_y; ++y) {
-          for (std::uint32_t x = x0; x < x1; ++x) seq.emplace_back(x, y);
-        }
-      }
-      break;
-    }
-    case LaunchOrder::kHilbert: {
-      // Inverse Hilbert map (xy2d) over the bounding 2^k square — the
-      // simulator walks the forward map (d2xy); sorting every in-grid cell
-      // by its curve index must reproduce the same sequence, which the
-      // property suite asserts.
-      std::uint64_t side = 1;
-      while (side < grid_x || side < grid_y) side <<= 1;
-      const auto xy2d = [side](std::uint64_t x, std::uint64_t y) {
-        std::uint64_t d = 0;
-        for (std::uint64_t s = side / 2; s > 0; s /= 2) {
-          const std::uint64_t rx = (x & s) != 0 ? 1 : 0;
-          const std::uint64_t ry = (y & s) != 0 ? 1 : 0;
-          d += s * s * ((3 * rx) ^ ry);
-          if (ry == 0) {
-            if (rx == 1) {
-              x = s - 1 - x;
-              y = s - 1 - y;
-            }
-            std::swap(x, y);
-          }
-        }
-        return d;
-      };
-      std::vector<std::pair<std::uint64_t, std::pair<std::uint32_t, std::uint32_t>>> keyed;
-      keyed.reserve(static_cast<std::size_t>(grid_x) * grid_y);
-      for (std::uint32_t y = 0; y < grid_y; ++y) {
-        for (std::uint32_t x = 0; x < grid_x; ++x) keyed.push_back({xy2d(x, y), {x, y}});
-      }
-      std::sort(keyed.begin(), keyed.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (const auto& [d, xy] : keyed) seq.push_back(xy);
-      break;
-    }
-  }
-  return seq;
-}
-
 SampledL2 sample_l2_reuse(const L2ReuseInput& in) {
   TC_CHECK(in.wave_ctas > 0 && in.grid_x > 0 && in.grid_y > 0, "bad reuse input");
   const std::uint64_t total = in.grid_x * in.grid_y;
   const std::uint64_t wave = std::min<std::uint64_t>(static_cast<std::uint64_t>(in.wave_ctas),
                                                      total);
-
-  const auto seq = launch_trace(in.order, static_cast<std::uint32_t>(in.grid_x),
-                                static_cast<std::uint32_t>(in.grid_y), in.supertile_width);
 
   // Sample a prefix of whole waves: the dispatch pattern is periodic, so a
   // handful of waves reaches steady state without replaying huge grids.
@@ -155,6 +79,14 @@ SampledL2 sample_l2_reuse(const L2ReuseInput& in) {
   std::uint64_t sampled = std::min(total, cap_ctas);
   sampled = std::max<std::uint64_t>(wave, sampled - sampled % wave);
   sampled = std::min(sampled, total);
+
+  // The sampled prefix of the dispatch walk TimedDevice runs (kSwizzled is
+  // realized as its row-major dispatch there, and so here).
+  sim::CtaOrderMap map(in.order, static_cast<std::uint32_t>(in.grid_x),
+                       static_cast<std::uint32_t>(in.grid_y), in.supertile_width);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> seq;
+  seq.reserve(static_cast<std::size_t>(sampled));
+  for (std::uint64_t i = 0; i < sampled; ++i) seq.push_back(map.next());
 
   // One LRU stack the size of L2. Sub-capacity thresholds resolve the
   // histogram for diagnostics; the capacity threshold is the hit boundary.

@@ -16,11 +16,9 @@
 // approximated as full-capacity LRU — standard for reuse-distance models and
 // validated against the emergent SectorCache behaviour by the l2_xval suite.
 //
-// Trace generators here are deliberately *independent* implementations of
-// the launch orders in sim/cta_order.*: plain nested loops (and the inverse
-// Hilbert map xy2d vs. the simulator's d2xy). A property test pins both
-// sides to the identical permutation so the model can never drift from what
-// the device actually dispatches.
+// The replayed trace is the sampled prefix of sim::CtaOrderMap's walk: the
+// same code that drives TimedDevice's dispatch, so the model replays exactly
+// the order the device runs.
 #pragma once
 
 #include <cstdint>
@@ -73,11 +71,6 @@ class StackDistance {
   std::vector<std::uint64_t> histogram_;
   std::uint64_t accesses_ = 0;
 };
-
-/// The full dispatch sequence of `order` over a grid_x x grid_y grid —
-/// the model-side twin of sim::CtaOrderMap, implemented independently.
-[[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> launch_trace(
-    LaunchOrder order, std::uint32_t grid_x, std::uint32_t grid_y, int supertile_width);
 
 /// Per-array result of replaying a sampled CTA-tile trace through the stack.
 struct SampledL2 {

@@ -1,9 +1,7 @@
 #include "sim/cta_order.hpp"
 
-#include <memory>
-
 #include "common/error.hpp"
-#include "sim/timed_sm.hpp"
+#include "sim/launch.hpp"
 
 namespace tc::sim {
 namespace {
@@ -21,8 +19,6 @@ void hilbert_rot(std::uint64_t s, std::uint64_t& x, std::uint64_t& y, std::uint6
 }
 
 /// Curve index -> (x, y) on a side x side Hilbert curve (side a power of 2).
-/// The model-side trace generator uses the inverse map (xy2d); the property
-/// suite pins the two against each other.
 std::pair<std::uint64_t, std::uint64_t> hilbert_d2xy(std::uint64_t side, std::uint64_t d) {
   std::uint64_t x = 0;
   std::uint64_t y = 0;
@@ -112,10 +108,21 @@ std::pair<std::uint32_t, std::uint32_t> CtaOrderMap::next() {
     }
     case LaunchOrder::kHilbert: {
       for (;;) {
-        const auto [x, y] = hilbert_d2xy(hilbert_side_, hilbert_d_++);
+        const auto [x, y] = hilbert_d2xy(hilbert_side_, hilbert_d_);
         if (x < grid_x_ && y < grid_y_) {
+          ++hilbert_d_;
           return {static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)};
         }
+        // Each aligned run of s*s curve indices covers one aligned s x s
+        // square. Skip the largest such run starting here whose square lies
+        // wholly outside the grid, so skinny grids cost O(log side) per cell
+        // instead of a walk over the whole bounding square.
+        std::uint64_t s = 1;
+        while (2 * s < hilbert_side_ && hilbert_d_ % (4 * s * s) == 0 &&
+               ((x & ~(2 * s - 1)) >= grid_x_ || (y & ~(2 * s - 1)) >= grid_y_)) {
+          s *= 2;
+        }
+        hilbert_d_ += s * s;
       }
     }
   }
@@ -123,13 +130,29 @@ std::pair<std::uint32_t, std::uint32_t> CtaOrderMap::next() {
   return {0, 0};
 }
 
-std::unique_ptr<CtaSource> make_cta_source(const Launch& launch) {
-  if (launch.launch_order == LaunchOrder::kRowMajor ||
-      launch.launch_order == LaunchOrder::kSwizzled) {
-    return std::make_unique<GridCtaSource>(launch.grid_x, launch.grid_y, launch.grid_z);
-  }
-  return std::make_unique<OrderedCtaSource>(launch.launch_order, launch.grid_x, launch.grid_y,
-                                            launch.supertile_width, launch.grid_z);
+void CtaOrderMap::restart() {
+  issued_ = 0;
+  hilbert_d_ = 0;
+}
+
+CtaSource::CtaSource(const Launch& launch)
+    : map_(launch.launch_order, launch.grid_x, launch.grid_y, launch.supertile_width),
+      total_(launch.num_ctas()) {}
+
+std::optional<CtaCoord> CtaSource::next() {
+  std::lock_guard lock(mutex_);
+  if (issued_ >= total_) return std::nullopt;
+  // z-outer: each z plane re-walks the same 2D order from its start.
+  if (issued_ > 0 && issued_ % map_.total() == 0) map_.restart();
+  const auto z = static_cast<std::uint32_t>(issued_ / map_.total());
+  ++issued_;
+  const auto [x, y] = map_.next();
+  return CtaCoord{x, y, z};
+}
+
+std::uint64_t CtaSource::issued() const {
+  std::lock_guard lock(mutex_);
+  return issued_;
 }
 
 }  // namespace tc::sim

@@ -8,17 +8,21 @@
 // below (supertile / serpentine / Hilbert) keep the wave's footprint closer
 // to square, holding per-wave L2 reuse through arbitrarily wide grids.
 //
-// The same orders exist twice in the tree on purpose: here as the dispatch
-// map driving TimedDevice, and independently as trace generators feeding the
-// model's stack-distance sampler (model/stack_distance.*). A property test
-// pins both implementations to the identical permutation of the grid.
+// CtaOrderMap is the only implementation of these orders. TimedDevice
+// dispatches through it (sim::CtaSource) and the model's stack-distance
+// sampler (model/stack_distance.*) replays the same walk, so the L2 model
+// and the simulated device agree on every order by construction.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
 namespace tc::sim {
+
+struct Launch;
 
 /// CTA dispatch order over the grid.
 enum class LaunchOrder {
@@ -46,8 +50,8 @@ enum class LaunchOrder {
 
 /// Sequential (x, y) generator for a launch order over a grid_x x grid_y
 /// grid. Emits each grid cell exactly once. Index arithmetic per order; the
-/// Hilbert walk keeps an internal cursor, so cells must be drained in
-/// sequence (which is all a CtaSource ever does).
+/// Hilbert walk keeps an internal cursor (skipping whole out-of-grid
+/// quadrants), so cells must be drained in sequence.
 class CtaOrderMap {
  public:
   CtaOrderMap(LaunchOrder order, std::uint32_t grid_x, std::uint32_t grid_y,
@@ -61,6 +65,9 @@ class CtaOrderMap {
   /// total() calls so far.
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> next();
 
+  /// Rewinds to the first cell of the walk.
+  void restart();
+
  private:
   LaunchOrder order_;
   std::uint32_t grid_x_;
@@ -71,6 +78,33 @@ class CtaOrderMap {
   // Hilbert cursor: side of the bounding square and the next curve index.
   std::uint64_t hilbert_side_ = 1;
   std::uint64_t hilbert_d_ = 0;
+};
+
+/// CTA coordinates resident on the simulated SM.
+struct CtaCoord {
+  std::uint32_t x = 0;
+  std::uint32_t y = 0;
+  std::uint32_t z = 0;
+};
+
+/// Hands out CTAs to SMs as their resident slots free up — the GigaThread
+/// engine of a full-device simulation. Walks `launch.launch_order` through a
+/// CtaOrderMap, z-outer: each z plane re-walks the same 2D order. Thread-safe,
+/// so SMs stepped on different host threads can share one source.
+class CtaSource {
+ public:
+  explicit CtaSource(const Launch& launch);
+
+  /// Next CTA to place in a freed slot, or nullopt when the grid is drained.
+  std::optional<CtaCoord> next();
+  /// How many CTAs have been handed out so far.
+  [[nodiscard]] std::uint64_t issued() const;
+
+ private:
+  mutable std::mutex mutex_;
+  CtaOrderMap map_;
+  std::uint64_t total_;
+  std::uint64_t issued_ = 0;
 };
 
 }  // namespace tc::sim

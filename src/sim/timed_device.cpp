@@ -41,7 +41,8 @@ DeviceResult TimedDevice::run(const Launch& launch) {
   TC_CHECK(num_ctas > 0, "empty grid");
 
   // Priming is depth-first: SM i takes the next ctas_per_sm CTAs from the
-  // x-major source, so co-residents are launch-order row neighbours — the
+  // source, so co-residents are launch-order neighbours (row neighbours
+  // under the row-major dispatch of kRowMajor / kSwizzled) — the
   // residency the model's steady-state surrogate (model/validate.cpp) and
   // the documented xval tolerance bands are calibrated against. Only as many
   // SMs as the grid can actually feed participate: a sub-wave grid
@@ -55,10 +56,7 @@ DeviceResult TimedDevice::run(const Launch& launch) {
   const int sms_used = static_cast<int>(std::min<std::uint64_t>(
       static_cast<std::uint64_t>(cfg_.spec.num_sms), (num_ctas + per_sm - 1) / per_sm));
 
-  // kRowMajor / kSwizzled keep the exact GridCtaSource path above; the
-  // locality-preserving orders dispatch through an OrderedCtaSource.
-  const std::unique_ptr<CtaSource> source_owner = make_cta_source(launch);
-  CtaSource& source = *source_owner;
+  CtaSource source(launch);
   SharedMemSystem shared(cfg_.spec);
 
   std::vector<std::unique_ptr<TimedSm>> sms;

@@ -38,99 +38,6 @@ namespace tc::sim {
 
 class StateProbe;
 
-/// CTA coordinates resident on the simulated SM.
-struct CtaCoord {
-  std::uint32_t x = 0;
-  std::uint32_t y = 0;
-  std::uint32_t z = 0;
-};
-
-/// Hands out CTAs to SMs as their resident slots free up — the GigaThread
-/// engine of a full-device simulation. Implementations must be thread-safe
-/// when shared between SMs running on different host threads.
-class CtaSource {
- public:
-  virtual ~CtaSource() = default;
-  /// Next CTA to place in a freed slot, or nullopt when the grid is drained.
-  virtual std::optional<CtaCoord> next() = 0;
-  /// How many CTAs have been handed out so far.
-  [[nodiscard]] virtual std::uint64_t issued() const = 0;
-};
-
-/// Dispenses a grid_x x grid_y grid in hardware launch order (x fastest).
-class GridCtaSource final : public CtaSource {
- public:
-  GridCtaSource(std::uint32_t grid_x, std::uint32_t grid_y, std::uint32_t grid_z = 1)
-      : grid_x_(grid_x),
-        plane_(static_cast<std::uint64_t>(grid_x) * grid_y),
-        total_(static_cast<std::uint64_t>(grid_x) * grid_y * grid_z) {}
-
-  std::optional<CtaCoord> next() override {
-    std::lock_guard lock(mutex_);
-    if (issued_ >= total_) return std::nullopt;
-    const std::uint64_t i = issued_++;
-    const std::uint64_t p = i % plane_;
-    return CtaCoord{static_cast<std::uint32_t>(p % grid_x_),
-                    static_cast<std::uint32_t>(p / grid_x_),
-                    static_cast<std::uint32_t>(i / plane_)};
-  }
-
-  [[nodiscard]] std::uint64_t issued() const override {
-    std::lock_guard lock(mutex_);
-    return issued_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::uint32_t grid_x_;
-  std::uint64_t plane_;
-  std::uint64_t total_;
-  std::uint64_t issued_ = 0;
-};
-
-/// Dispenses the grid in an arbitrary LaunchOrder (supertile, serpentine,
-/// Hilbert) via a CtaOrderMap. Same thread-safety contract as GridCtaSource.
-class OrderedCtaSource final : public CtaSource {
- public:
-  OrderedCtaSource(LaunchOrder order, std::uint32_t grid_x, std::uint32_t grid_y,
-                   int supertile_width, std::uint32_t grid_z = 1)
-      : order_(order),
-        supertile_width_(supertile_width),
-        grid_z_(grid_z),
-        map_(order, grid_x, grid_y, supertile_width) {}
-
-  std::optional<CtaCoord> next() override {
-    std::lock_guard lock(mutex_);
-    if (issued_ >= map_.total() * grid_z_) return std::nullopt;
-    // z-outer: each z plane re-walks the same 2D curve from its start.
-    if (issued_ > 0 && issued_ % map_.total() == 0) {
-      map_ = CtaOrderMap(order_, map_.grid_x(), map_.grid_y(), supertile_width_);
-    }
-    const auto z = static_cast<std::uint32_t>(issued_ / map_.total());
-    ++issued_;
-    const auto [x, y] = map_.next();
-    return CtaCoord{x, y, z};
-  }
-
-  [[nodiscard]] std::uint64_t issued() const override {
-    std::lock_guard lock(mutex_);
-    return issued_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  LaunchOrder order_;
-  int supertile_width_;
-  std::uint64_t grid_z_;
-  CtaOrderMap map_;
-  std::uint64_t issued_ = 0;
-};
-
-/// Source matching `launch.launch_order`: the exact GridCtaSource for the
-/// row-major-dispatched orders (kRowMajor, kSwizzled), an OrderedCtaSource
-/// otherwise.
-[[nodiscard]] std::unique_ptr<CtaSource> make_cta_source(const Launch& launch);
-
 /// Device-level memory resources shared by every SM of a full-device
 /// simulation: one DRAM budget, one L2 bandwidth budget and one L2 tag
 /// array. A TimedSm bound to a SharedMemSystem charges its global traffic

@@ -35,19 +35,8 @@ constexpr double kNaiveBankConflict = 8.0;
 /// and validate_wave use, so pinned-hit-rate evaluation matches them.
 double predicted_l2_hit_rate(const device::DeviceSpec& spec, const core::HgemmConfig& cfg,
                              const device::Occupancy& occ, const GemmShape& s) {
-  model::L2ReuseInput ri;
-  ri.bm = cfg.bm;
-  ri.bn = cfg.bn;
-  ri.bk = cfg.bk;
-  ri.grid_x = s.n / static_cast<std::size_t>(cfg.bn);
-  ri.grid_y = s.m / static_cast<std::size_t>(cfg.bm);
-  ri.wave_ctas = spec.num_sms * occ.ctas_per_sm;
-  ri.order = cfg.launch_order;
-  ri.swizzle_max_grid_x = cfg.swizzle_max_grid_x;
-  ri.supertile_width = cfg.supertile_width;
-  ri.k_iters = std::ceil(static_cast<double>(s.k) / cfg.bk);
-  ri.l2_capacity = spec.l2_size_bytes;
-  return model::l2_reuse_predict(ri).ldg_l2_hit_rate;
+  return model::l2_reuse_predict(core::l2_reuse_input(spec, cfg, s, occ.ctas_per_sm))
+      .ldg_l2_hit_rate;
 }
 
 namespace {

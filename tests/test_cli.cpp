@@ -306,6 +306,32 @@ TEST(CliContract, EngineValidationIsPerCommand) {
   EXPECT_TRUE(fails("fuzz --programs 2 --engine model"));
 }
 
+TEST(CliContract, BadCountsAndShapesFailClosedNamingTheInput) {
+  // Out-of-range counts are rejected at parse time (they used to crash
+  // `perf --top -5` or make `fuzz --programs 0` pass having fuzzed
+  // nothing), and a shape whose padding overflows is rejected instead of
+  // wrapping. Each must exit non-zero with a diagnostic naming the input.
+  const auto err = std::filesystem::temp_directory_path() / "tc_cli_negative.err";
+  const auto fails_naming = [&](const std::string& args, const std::string& name) {
+    const std::string cmd = std::string(TC_CLI_BIN) + " " + args + " > /dev/null 2> " +
+                            err.string();
+    const int rc = std::system(cmd.c_str());
+    const std::string diag = read_file(err);
+    EXPECT_NE(rc, 0) << cmd;
+    EXPECT_NE(diag.find(name), std::string::npos) << cmd << ": " << diag;
+  };
+  fails_naming("perf --m 256 --n 256 --k 64 --profile --top -5", "--top");
+  fails_naming("fuzz --programs 0", "--programs");
+  fails_naming("fuzz --programs -1", "--programs");
+  fails_naming("fuzz --programs 3x", "--programs");
+  fails_naming("tune --budget 0", "--budget");
+  fails_naming("serve --requests 0", "--requests");
+  fails_naming("op --m 64 --n 64 --k 64 --split-k 0", "--split-k");
+  fails_naming("disasm --m 18446744073709551615", "GEMM m = 18446744073709551615");
+  fails_naming("perf --n 18446744073709551615", "GEMM n = 18446744073709551615");
+  std::filesystem::remove(err);
+}
+
 TEST(CliContract, RunBitAccurateCheckJson) {
   // `run --numerics bitaccurate --check` verifies the executor against the
   // bit-accurate engine and must report zero mismatches.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -88,6 +89,28 @@ TEST(HgemmConfig, RejectsBadShapes) {
   c = core::HgemmConfig::optimized();
   c.sts_interleave = 0;
   EXPECT_THROW(c.check(), Error);
+}
+
+TEST(HgemmConfig, ContractShapeRejectsPaddingOverflow) {
+  const auto cfg = core::HgemmConfig::optimized();
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW((void)cfg.contract_shape({kMax, 256, 64}), Error);
+  EXPECT_THROW((void)cfg.contract_shape({256, kMax - 1, 64}), Error);
+  EXPECT_THROW((void)cfg.contract_shape({256, 256, kMax}), Error);
+  core::HgemmConfig split = cfg;
+  split.split_k = 4;
+  EXPECT_THROW((void)split.contract_shape({256, 256, kMax - 2}), Error);
+  // The largest shapes that still pad without wrapping are accepted.
+  const auto bm = static_cast<std::size_t>(cfg.bm);
+  const std::size_t m_top = kMax / bm * bm;
+  const GemmShape ok = cfg.contract_shape({m_top, 256, 64});
+  EXPECT_EQ(ok.m, m_top);
+  try {
+    (void)cfg.contract_shape({kMax, 256, 64});
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("GEMM m = 18446744073709551615"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(HgemmConfig, SmemFootprints) {
@@ -181,6 +204,21 @@ TEST(JsonRoundTrip, CanonicalFormSortsObjectKeys) {
   EXPECT_EQ(json_dump(json_parse("{\"b\":1,\"a\":2}")),
             json_dump(json_parse("{\"a\":2,\"b\":1}")));
   EXPECT_EQ(json_dump(json_parse("{\"b\":1,\"a\":2}")), "{\"a\":2,\"b\":1}");
+}
+
+TEST(JsonParse, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // 60k levels used to recurse off the end of the stack (SIGSEGV).
+  const std::size_t deep = 60000;
+  EXPECT_THROW((void)json_parse(std::string(deep, '[')), Error);
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)json_parse(objects), Error);
+  // Nesting up to the limit still parses.
+  const int limit = detail::JsonParser::kMaxDepth;
+  const std::string ok = std::string(limit, '[') + std::string(limit, ']');
+  EXPECT_TRUE(json_parse(ok).is_array());
+  const std::string too_deep = "[" + ok + "]";
+  EXPECT_THROW((void)json_parse(too_deep), Error);
 }
 
 TEST(JsonWriter, MisuseTripsCheck) {

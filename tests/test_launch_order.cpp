@@ -2,15 +2,15 @@
 //
 // Three layers, cheapest first:
 //
-//  1. Property: the model-side trace generator (model::launch_trace) and the
-//     simulator-side dispenser (sim::CtaOrderMap) are independent
-//     implementations of every LaunchOrder; they must emit the *identical*
-//     permutation of the grid, and that sequence must be a bijection, for
-//     arbitrary grids including degenerate 1-row/1-col and non-pow2 sizes.
-//  2. Dispatch: OrderedCtaSource dispenses CtaOrderMap's sequence under
-//     contention, and the kSwizzled order remains bit-identical to the
-//     row-major GridCtaSource dispatch (its analytic patch is a model
-//     assumption, not a schedule change).
+//  1. Property: sim::CtaOrderMap is the only implementation of every
+//     LaunchOrder (TimedDevice dispatch and the model's sampler both walk
+//     it). Oracles that need no second implementation pin it: hand-written
+//     sequences on small grids, a bijection sweep over arbitrary grids
+//     (degenerate 1-row/1-col, non-pow2, skinny), and unit-step adjacency
+//     of the Hilbert walk on 2^k squares.
+//  2. Dispatch: sim::CtaSource dispenses the map's sequence, re-walks it per
+//     z plane, and dispatches kSwizzled exactly row-major (its analytic patch
+//     is a model assumption, not a schedule change).
 //  3. Band: the stack-distance sampler's predicted L2 hit rate must land
 //     within 15 % of the TimedDevice's *emergent* sector-cache rate
 //     (pin_l2_hit_rate = false) for row-major and supertile orders on three
@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -33,48 +34,90 @@
 #include "model/stack_distance.hpp"
 #include "model/validate.hpp"
 #include "sim/cta_order.hpp"
-#include "sim/timed_sm.hpp"
+#include "sim/launch.hpp"
 
 namespace tc {
 namespace {
 
 using model::LaunchOrder;
+using Cells = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 const LaunchOrder kAllOrders[] = {LaunchOrder::kRowMajor, LaunchOrder::kSwizzled,
                                   LaunchOrder::kSupertile, LaunchOrder::kSerpentine,
                                   LaunchOrder::kHilbert};
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> drain_map(LaunchOrder order,
-                                                               std::uint32_t gx,
-                                                               std::uint32_t gy, int width) {
+Cells drain_map(LaunchOrder order, std::uint32_t gx, std::uint32_t gy, int width) {
   sim::CtaOrderMap map(order, gx, gy, width);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> seq;
+  Cells seq;
   for (std::uint64_t i = 0; i < map.total(); ++i) seq.push_back(map.next());
   return seq;
 }
 
-TEST(LaunchOrderProperty, TraceAndSourceEmitTheSameBijection) {
+sim::Launch grid_launch(LaunchOrder order, std::uint32_t gx, std::uint32_t gy, int width,
+                        std::uint32_t gz = 1) {
+  sim::Launch launch;
+  launch.grid_x = gx;
+  launch.grid_y = gy;
+  launch.grid_z = gz;
+  launch.launch_order = order;
+  launch.supertile_width = width;
+  return launch;
+}
+
+TEST(LaunchOrderProperty, HandWrittenSequencesOnSmallGrids) {
+  // Full 4x4 Hilbert curve: the 2x2 quadrants in U order (low x/low y,
+  // low x/high y, high x/high y, high x/low y), the first and last sub-curve
+  // reflected so consecutive cells stay adjacent. It ends at (3, 0).
+  const Cells hilbert = {{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0, 2}, {0, 3}, {1, 3}, {1, 2},
+                         {2, 2}, {2, 3}, {3, 3}, {3, 2}, {3, 1}, {2, 1}, {2, 0}, {3, 0}};
+  EXPECT_EQ(drain_map(LaunchOrder::kHilbert, 4, 4, 8), hilbert);
+  // 5x3 in width-2 panels: two full panels, then the 1-column remainder.
+  const Cells supertile = {{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}, {1, 2}, {2, 0}, {3, 0},
+                           {2, 1}, {3, 1}, {2, 2}, {3, 2}, {4, 0}, {4, 1}, {4, 2}};
+  EXPECT_EQ(drain_map(LaunchOrder::kSupertile, 5, 3, 2), supertile);
+  const Cells serpentine = {{0, 0}, {1, 0}, {2, 0}, {2, 1}, {1, 1},
+                            {0, 1}, {0, 2}, {1, 2}, {2, 2}};
+  EXPECT_EQ(drain_map(LaunchOrder::kSerpentine, 3, 3, 8), serpentine);
+  // Hilbert on a non-square grid skips the out-of-grid half (y >= 2) of the
+  // 4x4 curve above and keeps the in-grid cells in curve order.
+  const Cells hilbert_4x2 = {{0, 0}, {1, 0}, {1, 1}, {0, 1}, {3, 1}, {2, 1}, {2, 0}, {3, 0}};
+  EXPECT_EQ(drain_map(LaunchOrder::kHilbert, 4, 2, 8), hilbert_4x2);
+}
+
+TEST(LaunchOrderProperty, EveryOrderIsABijection) {
   const std::pair<std::uint32_t, std::uint32_t> grids[] = {
-      {1, 1}, {1, 7}, {7, 1}, {5, 3}, {16, 16}, {13, 29}, {47, 2}, {3, 32}};
+      {1, 1}, {1, 7}, {7, 1},  {5, 3},    {16, 16},  {13, 29},
+      {47, 2}, {3, 32}, {1024, 4}, {4, 1024}, {1000, 3}, {33, 17}};
   const int widths[] = {1, 3, 8, 64};
   for (const auto [gx, gy] : grids) {
     for (const LaunchOrder order : kAllOrders) {
       for (const int w : widths) {
-        const auto trace = model::launch_trace(order, gx, gy, w);
-        const auto dispatched = drain_map(order, gx, gy, w);
-        ASSERT_EQ(trace.size(), static_cast<std::size_t>(gx) * gy)
-            << sim::launch_order_name(order) << " " << gx << "x" << gy << " w" << w;
-        ASSERT_EQ(trace, dispatched)
-            << sim::launch_order_name(order) << " " << gx << "x" << gy << " w" << w;
-        std::set<std::pair<std::uint32_t, std::uint32_t>> seen(trace.begin(), trace.end());
-        EXPECT_EQ(seen.size(), trace.size())
-            << sim::launch_order_name(order) << " repeats a CTA";
-        for (const auto [x, y] : trace) {
-          ASSERT_LT(x, gx);
-          ASSERT_LT(y, gy);
+        const auto seq = drain_map(order, gx, gy, w);
+        const std::string where = std::string(sim::launch_order_name(order)) + " " +
+                                  std::to_string(gx) + "x" + std::to_string(gy) + " w" +
+                                  std::to_string(w);
+        ASSERT_EQ(seq.size(), static_cast<std::size_t>(gx) * gy) << where;
+        const std::set<std::pair<std::uint32_t, std::uint32_t>> seen(seq.begin(), seq.end());
+        EXPECT_EQ(seen.size(), seq.size()) << where << " repeats a CTA";
+        for (const auto [x, y] : seq) {
+          ASSERT_LT(x, gx) << where;
+          ASSERT_LT(y, gy) << where;
         }
         if (order != LaunchOrder::kSupertile) break;  // width only matters here
       }
+    }
+  }
+}
+
+TEST(LaunchOrderProperty, HilbertStepsAreUnitAdjacentOnPowerOfTwoSquares) {
+  for (std::uint32_t side = 1; side <= 64; side *= 2) {
+    const auto seq = drain_map(LaunchOrder::kHilbert, side, side, 8);
+    ASSERT_EQ(seq.front(), std::make_pair(0u, 0u)) << side;
+    for (std::size_t i = 1; i < seq.size(); ++i) {
+      const int dx = std::abs(static_cast<int>(seq[i].first) - static_cast<int>(seq[i - 1].first));
+      const int dy =
+          std::abs(static_cast<int>(seq[i].second) - static_cast<int>(seq[i - 1].second));
+      ASSERT_EQ(dx + dy, 1) << "side " << side << " step " << i;
     }
   }
 }
@@ -83,9 +126,12 @@ TEST(LaunchOrderProperty, SwizzledDispatchesExactlyRowMajor) {
   // kSwizzled's L2-friendly patch is an analytic model assumption; its
   // *dispatch* must stay the row-major baseline so recorded tuning results
   // and surrogate calibration are untouched by the launch-order machinery.
-  const auto swizzled = model::launch_trace(LaunchOrder::kSwizzled, 13, 5, 8);
-  const auto row_major = model::launch_trace(LaunchOrder::kRowMajor, 13, 5, 8);
-  EXPECT_EQ(swizzled, row_major);
+  Cells row_major;
+  for (std::uint32_t y = 0; y < 5; ++y) {
+    for (std::uint32_t x = 0; x < 13; ++x) row_major.emplace_back(x, y);
+  }
+  EXPECT_EQ(drain_map(LaunchOrder::kSwizzled, 13, 5, 8), row_major);
+  EXPECT_EQ(drain_map(LaunchOrder::kRowMajor, 13, 5, 8), row_major);
 }
 
 TEST(LaunchOrderProperty, NameRoundTrips) {
@@ -96,49 +142,51 @@ TEST(LaunchOrderProperty, NameRoundTrips) {
 }
 
 TEST(LaunchOrderDispatch, OrderedSourceDispensesMapSequenceThenStops) {
-  sim::OrderedCtaSource src(LaunchOrder::kSupertile, 6, 4, 2);
-  const auto expect = model::launch_trace(LaunchOrder::kSupertile, 6, 4, 2);
+  sim::CtaSource src(grid_launch(LaunchOrder::kSupertile, 6, 4, 2));
+  const auto expect = drain_map(LaunchOrder::kSupertile, 6, 4, 2);
   for (const auto& [x, y] : expect) {
     const auto got = src.next();
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->x, x);
     EXPECT_EQ(got->y, y);
+    EXPECT_EQ(got->z, 0u);
   }
   EXPECT_FALSE(src.next().has_value());
   EXPECT_EQ(src.issued(), expect.size());
 }
 
 TEST(LaunchOrderDispatch, GridSourceIsXFastestOnArbitraryGrids) {
-  // timed_device reasons about co-residency from GridCtaSource's documented
-  // "hardware launch order (x fastest)"; pin the dispenser to the row-major
-  // order map on a non-power-of-two grid so the swizzled sources can't
-  // silently change the baseline dispatch.
-  sim::GridCtaSource src(13, 7);
-  const auto want = model::launch_trace(LaunchOrder::kRowMajor, 13, 7, 8);
-  for (const auto& [x, y] : want) {
-    const auto got = src.next();
-    ASSERT_TRUE(got.has_value());
-    ASSERT_EQ(got->x, x);
-    ASSERT_EQ(got->y, y);
+  // timed_device reasons about co-residency from the row-major dispatch's
+  // "hardware launch order (x fastest)"; pin both row-major-dispatched
+  // orders to it on a non-power-of-two grid.
+  for (const LaunchOrder order : {LaunchOrder::kRowMajor, LaunchOrder::kSwizzled}) {
+    sim::CtaSource src(grid_launch(order, 13, 7, 8));
+    for (std::uint32_t i = 0; i < 13 * 7; ++i) {
+      const auto got = src.next();
+      ASSERT_TRUE(got.has_value());
+      ASSERT_EQ(got->x, i % 13);
+      ASSERT_EQ(got->y, i / 13);
+    }
+    EXPECT_FALSE(src.next().has_value());
   }
-  EXPECT_FALSE(src.next().has_value());
 }
 
-TEST(LaunchOrderDispatch, FactoryKeepsGridSourceForRowMajorOrders) {
-  // make_cta_source must hand kRowMajor/kSwizzled to the plain grid
-  // dispenser (the timed device's co-residency reasoning depends on the
-  // x-fastest order; see test_scheduling's GridCtaSource regression).
-  sim::Launch launch;
-  launch.grid_x = 5;
-  launch.grid_y = 3;
-  for (const LaunchOrder order : {LaunchOrder::kRowMajor, LaunchOrder::kSwizzled}) {
-    launch.launch_order = order;
-    const auto src = sim::make_cta_source(launch);
-    ASSERT_NE(dynamic_cast<sim::GridCtaSource*>(src.get()), nullptr);
+TEST(LaunchOrderDispatch, SourceRewalksTheOrderForEveryZPlane) {
+  // z-outer dispatch: each z plane starts the 2D walk again from its first
+  // cell (the Hilbert cursor included), so every plane sees the same order.
+  sim::CtaSource src(grid_launch(LaunchOrder::kHilbert, 5, 3, 8, 2));
+  const auto plane = drain_map(LaunchOrder::kHilbert, 5, 3, 8);
+  for (std::uint32_t z = 0; z < 2; ++z) {
+    for (const auto& [x, y] : plane) {
+      const auto got = src.next();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->x, x);
+      EXPECT_EQ(got->y, y);
+      EXPECT_EQ(got->z, z);
+    }
   }
-  launch.launch_order = LaunchOrder::kSerpentine;
-  const auto ordered = sim::make_cta_source(launch);
-  ASSERT_NE(dynamic_cast<sim::OrderedCtaSource*>(ordered.get()), nullptr);
+  EXPECT_FALSE(src.next().has_value());
+  EXPECT_EQ(src.issued(), 2 * plane.size());
 }
 
 // --- sampler vs. emergent L2: the 15 % band --------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "device/spec.hpp"
@@ -312,6 +313,141 @@ TEST(Sampler, PredictDispatchesByOrder) {
   in.supertile_width = 6;
   EXPECT_DOUBLE_EQ(l2_reuse_predict(in).ldg_l2_hit_rate,
                    sample_l2_reuse(in).ldg_l2_hit_rate);
+}
+
+// Exact sampler output for every order over a grid sweep: non-power-of-two,
+// 1-row, 1-column, skinny (Hilbert walks a 1024-wide bounding square for a
+// 4-row grid) and one Fig. 8-sized grid, under two input configurations.
+// Config 0: 4 MiB L2, 36-CTA waves, k_iters 8, panel width 3. Config 1:
+// 256 KiB L2, 16-CTA waves, k_iters 40 (wave-tagged blocks), width 8.
+// Any change to how the sampler walks a launch order shows up here.
+struct SamplerPin {
+  int config;
+  LaunchOrder order;
+  std::uint64_t grid_x, grid_y;
+  double ldg_l2_hit_rate, a_hit_rate, b_hit_rate;
+  int wave_rows, wave_cols;
+  std::uint64_t accesses, cold_misses;
+  std::vector<std::uint64_t> histogram;
+};
+
+TEST(Sampler, PinnedOutputAcrossOrdersAndGrids) {
+  const std::vector<SamplerPin> pins = {
+    {0, LaunchOrder::kRowMajor, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 16, 16, {0, 0, 0, 0, 0, 0, 16}},
+    {0, LaunchOrder::kSwizzled, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 16, 16, {0, 0, 0, 0, 0, 0, 16}},
+    {0, LaunchOrder::kSupertile, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 16, 16, {0, 0, 0, 0, 0, 0, 16}},
+    {0, LaunchOrder::kSerpentine, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 16, 16, {0, 0, 0, 0, 0, 0, 16}},
+    {0, LaunchOrder::kHilbert, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 16, 16, {0, 0, 0, 0, 0, 0, 16}},
+    {0, LaunchOrder::kRowMajor, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSwizzled, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSupertile, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSerpentine, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kHilbert, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kRowMajor, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSwizzled, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSupertile, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSerpentine, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kHilbert, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 112, 64, {48, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kRowMajor, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 240, 64, {176, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSwizzled, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 240, 64, {176, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSupertile, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 240, 64, {176, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kSerpentine, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 240, 64, {176, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kHilbert, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 240, 64, {176, 0, 0, 0, 0, 0, 64}},
+    {0, LaunchOrder::kRowMajor, 16, 16, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 3, 16, 4032, 256, {2968, 0, 808, 0, 0, 0, 256}},
+    {0, LaunchOrder::kSwizzled, 16, 16, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 3, 16, 4032, 256, {2968, 0, 808, 0, 0, 0, 256}},
+    {0, LaunchOrder::kSupertile, 16, 16, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 12, 3, 4032, 256, {3080, 154, 542, 0, 0, 0, 256}},
+    {0, LaunchOrder::kSerpentine, 16, 16, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 3, 16, 4032, 256, {2968, 0, 808, 0, 0, 0, 256}},
+    {0, LaunchOrder::kHilbert, 16, 16, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 0x1.df7df7df7df7ep-1, 6, 8, 4032, 256, {3232, 426, 118, 0, 0, 0, 256}},
+    {0, LaunchOrder::kRowMajor, 13, 29, 0x1.e2d82d82d82d8p-1, 0x1.d82d82d82d82ep-1, 0x1.ed82d82d82d83p-1, 3, 13, 5760, 328, {4424, 207, 801, 0, 0, 0, 328}},
+    {0, LaunchOrder::kSwizzled, 13, 29, 0x1.e2d82d82d82d8p-1, 0x1.d82d82d82d82ep-1, 0x1.ed82d82d82d83p-1, 3, 13, 5760, 328, {4424, 207, 801, 0, 0, 0, 328}},
+    {0, LaunchOrder::kSupertile, 13, 29, 0x1.e222222222222p-1, 0x1.d6c16c16c16c1p-1, 0x1.ed82d82d82d83p-1, 12, 3, 5760, 336, {4416, 183, 507, 318, 0, 0, 336}},
+    {0, LaunchOrder::kSerpentine, 13, 29, 0x1.e2d82d82d82d8p-1, 0x1.d82d82d82d82ep-1, 0x1.ed82d82d82d83p-1, 3, 13, 5760, 328, {4424, 502, 506, 0, 0, 0, 328}},
+    {0, LaunchOrder::kHilbert, 13, 29, 0x1.e222222222222p-1, 0x1.d6c16c16c16c1p-1, 0x1.ed82d82d82d83p-1, 8, 6, 5760, 336, {4584, 610, 188, 42, 0, 0, 336}},
+    {0, LaunchOrder::kRowMajor, 47, 2, 0x1.51c71c71c71c7p-1, 0x1.f1c71c71c71c7p-1, 0x1.638e38e38e38ep-2, 1, 36, 1152, 392, {552, 0, 0, 208, 0, 0, 392}},
+    {0, LaunchOrder::kSwizzled, 47, 2, 0x1.51c71c71c71c7p-1, 0x1.f1c71c71c71c7p-1, 0x1.638e38e38e38ep-2, 1, 36, 1152, 392, {552, 0, 0, 208, 0, 0, 392}},
+    {0, LaunchOrder::kSupertile, 47, 2, 0x1.78e38e38e38e4p-1, 0x1.f1c71c71c71c7p-1, 0x1p-1, 2, 18, 1152, 304, {832, 0, 16, 0, 0, 0, 304}},
+    {0, LaunchOrder::kSerpentine, 47, 2, 0x1.51c71c71c71c7p-1, 0x1.f1c71c71c71c7p-1, 0x1.638e38e38e38ep-2, 1, 36, 1152, 392, {640, 0, 81, 39, 0, 0, 392}},
+    {0, LaunchOrder::kHilbert, 47, 2, 0x1.78e38e38e38e4p-1, 0x1.f1c71c71c71c7p-1, 0x1p-1, 2, 18, 1152, 304, {832, 0, 16, 0, 0, 0, 304}},
+    {0, LaunchOrder::kRowMajor, 1024, 4, 0x1.ff7df7df7df7ep-2, 0x1.ff7df7df7df7ep-1, 0x0p+0, 1, 36, 32256, 8208, {15672, 0, 0, 440, 0, 7936, 8208}},
+    {0, LaunchOrder::kSwizzled, 1024, 4, 0x1.ff7df7df7df7ep-2, 0x1.ff7df7df7df7ep-1, 0x0p+0, 1, 36, 32256, 8208, {15672, 0, 0, 440, 0, 7936, 8208}},
+    {0, LaunchOrder::kSupertile, 1024, 4, 0x1.bf7df7df7df7ep-1, 0x1.fefbefbefbefcp-1, 0x1.8p-1, 4, 9, 32256, 4064, {26432, 1760, 0, 0, 0, 0, 4064}},
+    {0, LaunchOrder::kSerpentine, 1024, 4, 0x1.0679e79e79e7ap-1, 0x1.ff7df7df7df7ep-1, 0x1.aebaebaebaebbp-6, 1, 36, 32256, 8208, {15800, 0, 38, 698, 544, 6968, 8208}},
+    {0, LaunchOrder::kHilbert, 1024, 4, 0x1.bf7df7df7df7ep-1, 0x1.fefbefbefbefcp-1, 0x1.8p-1, 4, 10, 32256, 4064, {25536, 2656, 0, 0, 0, 0, 4064}},
+    {0, LaunchOrder::kRowMajor, 188, 188, 0x1.fd34d34d34d35p-2, 0x1.fd34d34d34d35p-1, 0x0p+0, 1, 36, 32256, 1592, {15608, 0, 0, 432, 0, 14624, 1592}},
+    {0, LaunchOrder::kSwizzled, 188, 188, 0x1.fd34d34d34d35p-2, 0x1.fd34d34d34d35p-1, 0x0p+0, 1, 36, 32256, 1592, {15608, 0, 0, 432, 0, 14624, 1592}},
+    {0, LaunchOrder::kSupertile, 188, 188, 0x1.a924924924925p-1, 0x1.5555555555555p-1, 0x1.fcf3cf3cf3cf4p-1, 12, 3, 32256, 1600, {25488, 1284, 12, 0, 0, 3872, 1600}},
+    {0, LaunchOrder::kSerpentine, 188, 188, 0x1.3830c30c30c31p-1, 0x1.fd34d34d34d35p-1, 0x1.ccb2cb2cb2cb3p-3, 1, 36, 32256, 1592, {16312, 0, 612, 2744, 5356, 5640, 1592}},
+    {0, LaunchOrder::kHilbert, 188, 188, 0x1.f1c71c71c71c7p-1, 0x1.efbefbefbefbfp-1, 0x1.f3cf3cf3cf3cfp-1, 6, 8, 32256, 768, {25808, 3594, 1300, 658, 128, 0, 768}},
+    {1, LaunchOrder::kRowMajor, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 24, 24, {0, 0, 0, 0, 0, 0, 24}},
+    {1, LaunchOrder::kSwizzled, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 24, 24, {0, 0, 0, 0, 0, 0, 24}},
+    {1, LaunchOrder::kSupertile, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 24, 24, {0, 0, 0, 0, 0, 0, 24}},
+    {1, LaunchOrder::kSerpentine, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 24, 24, {0, 0, 0, 0, 0, 0, 24}},
+    {1, LaunchOrder::kHilbert, 1, 1, 0x0p+0, 0x0p+0, 0x0p+0, 1, 1, 24, 24, {0, 0, 0, 0, 0, 0, 24}},
+    {1, LaunchOrder::kRowMajor, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSwizzled, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSupertile, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSerpentine, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kHilbert, 1, 7, 0x1.b6db6db6db6dbp-2, 0x0p+0, 0x1.b6db6db6db6dbp-1, 7, 1, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kRowMajor, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSwizzled, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSupertile, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSerpentine, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kHilbert, 7, 1, 0x1.b6db6db6db6dbp-2, 0x1.b6db6db6db6dbp-1, 0x0p+0, 1, 7, 168, 96, {72, 0, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kRowMajor, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 360, 96, {144, 120, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSwizzled, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 360, 96, {144, 120, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSupertile, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 360, 96, {144, 120, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kSerpentine, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 360, 96, {192, 72, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kHilbert, 5, 3, 0x1.7777777777777p-1, 0x1.999999999999ap-1, 0x1.5555555555555p-1, 3, 5, 360, 96, {204, 60, 0, 0, 0, 0, 96}},
+    {1, LaunchOrder::kRowMajor, 16, 16, 0x1.ep-2, 0x1.ep-1, 0x0p+0, 1, 16, 6144, 3264, {2880, 0, 0, 0, 0, 0, 3264}},
+    {1, LaunchOrder::kSwizzled, 16, 16, 0x1.ep-2, 0x1.ep-1, 0x0p+0, 1, 16, 6144, 3264, {2880, 0, 0, 0, 0, 0, 3264}},
+    {1, LaunchOrder::kSupertile, 16, 16, 0x1.6p-1, 0x1.cp-1, 0x1p-1, 2, 8, 6144, 1920, {2688, 0, 1536, 0, 0, 0, 1920}},
+    {1, LaunchOrder::kSerpentine, 16, 16, 0x1.ep-2, 0x1.ep-1, 0x0p+0, 1, 16, 6144, 3264, {2880, 0, 0, 0, 0, 0, 3264}},
+    {1, LaunchOrder::kHilbert, 16, 16, 0x1.8p-1, 0x1.8p-1, 0x1.8p-1, 4, 4, 6144, 1536, {3840, 768, 0, 0, 0, 0, 1536}},
+    {1, LaunchOrder::kRowMajor, 13, 29, 0x1.0d37a6f4de9bdp-1, 0x1.ba6f4de9bd37ap-1, 0x1.8p-3, 2, 13, 8832, 4188, {3816, 0, 828, 0, 0, 0, 4188}},
+    {1, LaunchOrder::kSwizzled, 13, 29, 0x1.0d37a6f4de9bdp-1, 0x1.ba6f4de9bd37ap-1, 0x1.8p-3, 2, 13, 8832, 4188, {3816, 0, 828, 0, 0, 0, 4188}},
+    {1, LaunchOrder::kSupertile, 13, 29, 0x1.61642c8590b21p-1, 0x1.a8590b21642c8p-1, 0x1.1a6f4de9bd37ap-1, 2, 8, 8832, 2736, {3660, 1092, 1344, 0, 0, 0, 2736}},
+    {1, LaunchOrder::kSerpentine, 13, 29, 0x1.2b21642c8590bp-1, 0x1.ba6f4de9bd37ap-1, 0x1.37a6f4de9bd38p-2, 2, 13, 8832, 3672, {4416, 660, 84, 0, 0, 0, 3672}},
+    {1, LaunchOrder::kHilbert, 13, 29, 0x1.737a6f4de9bd3p-1, 0x1.6f4de9bd37a6fp-1, 0x1.77a6f4de9bd38p-1, 4, 4, 8832, 2424, {5352, 1044, 12, 0, 0, 0, 2424}},
+    {1, LaunchOrder::kRowMajor, 47, 2, 0x1.d99999999999ap-2, 0x1.d99999999999ap-1, 0x0p+0, 1, 16, 1920, 1032, {888, 0, 0, 0, 0, 0, 1032}},
+    {1, LaunchOrder::kSwizzled, 47, 2, 0x1.d99999999999ap-2, 0x1.d99999999999ap-1, 0x0p+0, 1, 16, 1920, 1032, {888, 0, 0, 0, 0, 0, 1032}},
+    {1, LaunchOrder::kSupertile, 47, 2, 0x1.6p-1, 0x1.cp-1, 0x1p-1, 2, 8, 1920, 600, {840, 0, 480, 0, 0, 0, 600}},
+    {1, LaunchOrder::kSerpentine, 47, 2, 0x1.ep-2, 0x1.d99999999999ap-1, 0x1.999999999999ap-7, 1, 16, 1920, 1020, {900, 0, 0, 0, 0, 0, 1020}},
+    {1, LaunchOrder::kHilbert, 47, 2, 0x1.6p-1, 0x1.cp-1, 0x1p-1, 2, 8, 1920, 600, {1140, 180, 0, 0, 0, 0, 600}},
+    {1, LaunchOrder::kRowMajor, 1024, 4, 0x1.ep-2, 0x1.ep-1, 0x0p+0, 1, 16, 49152, 26112, {23040, 0, 0, 0, 0, 0, 26112}},
+    {1, LaunchOrder::kSwizzled, 1024, 4, 0x1.ep-2, 0x1.ep-1, 0x0p+0, 1, 16, 49152, 26112, {23040, 0, 0, 0, 0, 0, 26112}},
+    {1, LaunchOrder::kSupertile, 1024, 4, 0x1.6p-1, 0x1.cp-1, 0x1p-1, 2, 8, 49152, 15360, {21504, 0, 12288, 0, 0, 0, 15360}},
+    {1, LaunchOrder::kSerpentine, 1024, 4, 0x1.ep-2, 0x1.ep-1, 0x0p+0, 1, 16, 49152, 26112, {23040, 0, 0, 0, 0, 0, 26112}},
+    {1, LaunchOrder::kHilbert, 1024, 4, 0x1.8p-1, 0x1.8p-1, 0x1.8p-1, 4, 4, 49152, 12288, {30720, 6144, 0, 0, 0, 0, 12288}},
+    {1, LaunchOrder::kRowMajor, 188, 188, 0x1.dep-2, 0x1.dep-1, 0x0p+0, 1, 16, 49152, 26208, {22944, 0, 0, 0, 0, 0, 26208}},
+    {1, LaunchOrder::kSwizzled, 188, 188, 0x1.dep-2, 0x1.dep-1, 0x0p+0, 1, 16, 49152, 26208, {22944, 0, 0, 0, 0, 0, 26208}},
+    {1, LaunchOrder::kSupertile, 188, 188, 0x1.6p-1, 0x1.cp-1, 0x1p-1, 2, 8, 49152, 15360, {21504, 0, 12288, 0, 0, 0, 15360}},
+    {1, LaunchOrder::kSerpentine, 188, 188, 0x1.e9p-2, 0x1.dep-1, 0x1.6p-6, 1, 16, 49152, 25680, {23136, 264, 72, 0, 0, 0, 25680}},
+    {1, LaunchOrder::kHilbert, 188, 188, 0x1.8p-1, 0x1.8p-1, 0x1.8p-1, 4, 4, 49152, 12288, {30720, 6144, 0, 0, 0, 0, 12288}},
+  };
+  for (const SamplerPin& p : pins) {
+    L2ReuseInput in;
+    in.bm = in.bn = 128;
+    in.bk = 32;
+    in.grid_x = p.grid_x;
+    in.grid_y = p.grid_y;
+    in.order = p.order;
+    in.wave_ctas = p.config == 0 ? 36 : 16;
+    in.supertile_width = p.config == 0 ? 3 : 8;
+    in.k_iters = p.config == 0 ? 8.0 : 40.0;
+    in.l2_capacity = p.config == 0 ? 4ull << 20 : 256ull << 10;
+    const SampledL2 s = sample_l2_reuse(in);
+    const std::string where = std::string(sim::launch_order_name(p.order)) + " " +
+                              std::to_string(p.grid_x) + "x" + std::to_string(p.grid_y) +
+                              " config " + std::to_string(p.config);
+    EXPECT_EQ(s.ldg_l2_hit_rate, p.ldg_l2_hit_rate) << where;
+    EXPECT_EQ(s.a_hit_rate, p.a_hit_rate) << where;
+    EXPECT_EQ(s.b_hit_rate, p.b_hit_rate) << where;
+    EXPECT_EQ(s.wave_rows, p.wave_rows) << where;
+    EXPECT_EQ(s.wave_cols, p.wave_cols) << where;
+    EXPECT_EQ(s.accesses, p.accesses) << where;
+    EXPECT_EQ(s.cold_misses, p.cold_misses) << where;
+    EXPECT_EQ(s.histogram, p.histogram) << where;
+  }
 }
 
 TEST(DramRowEfficiency, DroopsWithStride) {

@@ -151,7 +151,7 @@ double refill_cycles(int grid_ctas, int resident) {
   tc.forced_l2_hit_rate = 0.5;
   tc.skip_mma_math = true;
   sim::TimedSm sm(tc, gmem);
-  sim::GridCtaSource source(launch.grid_x, launch.grid_y);
+  sim::CtaSource source(launch);
   sm.begin(launch, source, resident);
   while (sm.step()) {
   }
@@ -196,7 +196,7 @@ TEST(Scheduling, RespawnProbeCapturesRetiringCtaCoords) {
   tc.spec = device::rtx2070();
   tc.probe = &probe;
   sim::TimedSm sm(tc, gmem);
-  sim::GridCtaSource source(launch.grid_x, launch.grid_y);
+  sim::CtaSource source(launch);
   sm.begin(launch, source, 2);  // 4 CTAs through 2 slots -> 2 respawn captures
   while (sm.step()) {
   }
@@ -215,8 +215,11 @@ TEST(Scheduling, RespawnProbeCapturesRetiringCtaCoords) {
   }
 }
 
-TEST(Scheduling, GridCtaSourceDispensesInLaunchOrder) {
-  sim::GridCtaSource src(3, 2);
+TEST(Scheduling, CtaSourceDispensesInLaunchOrder) {
+  sim::Launch launch;
+  launch.grid_x = 3;
+  launch.grid_y = 2;
+  sim::CtaSource src(launch);
   const std::pair<std::uint32_t, std::uint32_t> want[] = {{0, 0}, {1, 0}, {2, 0},
                                                           {0, 1}, {1, 1}, {2, 1}};
   for (const auto& [x, y] : want) {
@@ -267,7 +270,7 @@ TEST(Scheduling, CtaRefillMatchesFunctionalResult) {
   sim::TimedConfig tc;
   tc.spec = tdev.spec();
   sim::TimedSm sm(tc, tdev.gmem());  // full math: results must be real
-  sim::GridCtaSource source(2, 2);
+  sim::CtaSource source(tlaunch);
   sm.begin(tlaunch, source, 2);
   while (sm.step()) {
   }

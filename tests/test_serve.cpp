@@ -184,6 +184,21 @@ TEST(TuneCache, MalformedDocumentIsColdStartNotCrash) {
   EXPECT_TRUE(stats.diagnostics.empty());
 }
 
+TEST(TuneCache, DeeplyNestedDocumentIsColdStart) {
+  // A 60k-deep document used to overflow the parser's stack; it must be
+  // an unreadable cache like any other malformed file.
+  std::string objects;
+  for (int i = 0; i < 60000; ++i) objects += "{\"a\":";
+  for (const std::string& deep : {std::string(60000, '['), objects}) {
+    tune::CacheLoadStats stats;
+    const tune::TuneCache cache = tune::TuneCache::from_json(deep, &stats);
+    EXPECT_EQ(cache.size(), 0u);
+    ASSERT_EQ(stats.diagnostics.size(), 1u);
+    EXPECT_NE(stats.diagnostics.front().find("unreadable tuning cache"), std::string::npos);
+    EXPECT_NE(stats.diagnostics.front().find("nesting"), std::string::npos);
+  }
+}
+
 TEST(TuneCache, CorruptAndStaleEntriesAreRejectedWithDiagnostics) {
   tune::TuneCache good;
   good.insert(valid_entry());
