@@ -127,6 +127,17 @@ int count_flag(const std::string& flag, const std::string& text, int min) {
   return v;
 }
 
+/// Parses a shape or seed flag's value: a whole decimal integer in
+/// [0, 2^64). A sign, trailing characters or overflow fail closed with a
+/// diagnostic naming the flag.
+std::uint64_t u64_flag(const std::string& flag, const std::string& text) {
+  std::uint64_t v = 0;
+  const auto r = std::from_chars(text.data(), text.data() + text.size(), v);
+  TC_CHECK(r.ec == std::errc{} && r.ptr == text.data() + text.size(),
+           flag + " needs a non-negative integer, got '" + text + "'");
+  return v;
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 2) return a;
@@ -138,15 +149,15 @@ Args parse(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--m") {
-      a.m = std::stoul(value());
+      a.m = u64_flag(flag, value());
       a.shape_set = true;
       a.mn_set = true;
     } else if (flag == "--n") {
-      a.n = std::stoul(value());
+      a.n = u64_flag(flag, value());
       a.shape_set = true;
       a.mn_set = true;
     } else if (flag == "--k") {
-      a.k = std::stoul(value());
+      a.k = u64_flag(flag, value());
       a.shape_set = true;
       a.k_set = true;
     } else if (flag == "--device") {
@@ -164,7 +175,7 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--programs") {
       a.programs = count_flag(flag, value(), 1);
     } else if (flag == "--seed") {
-      a.seed = std::stoull(value());
+      a.seed = u64_flag(flag, value());
     } else if (flag == "--trace-out") {
       a.trace_out = value();
     } else if (flag == "--json") {

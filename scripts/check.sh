@@ -104,6 +104,12 @@ for dev in rtx2070 t4; do
   ./build/examples/tcgemm_cli schedule --wmma --device "$dev" >/dev/null
 done
 
+echo "== simbench smoke: one unit per workload against the digest pins =="
+# Every unit checks its simulated outputs (device_gemm TimedStats, cold and
+# warm serve metrics) against pinned digests, so a timed-engine change that
+# moves any simulated number fails here.
+python3 simbench/smoke_test.py
+
 if [[ "$FAST" == 1 ]]; then
   echo "== done (fast mode: sanitizer build skipped) =="
   exit 0

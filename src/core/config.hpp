@@ -32,6 +32,31 @@ enum class SmemLayout {
   kNaiveRowMajor,
 };
 
+/// Rejects a kernel shape the generated code cannot address. Kernels take
+/// byte strides and operand extents as signed 32-bit immediates (k * 2,
+/// m * n * 2, ...), so every dimension's row and every operand — A (m x k),
+/// B (n x k), C (m x n) — must stay within INT32_MAX bytes. Throws
+/// tc::Error naming the dimension(s) otherwise.
+inline void check_kernel_shape(const GemmShape& s) {
+  constexpr std::size_t kMaxBytes = std::numeric_limits<std::int32_t>::max();
+  for (const auto& [dim, v] : {std::pair{"m", s.m}, std::pair{"n", s.n}, std::pair{"k", s.k}}) {
+    TC_CHECK(v <= kMaxBytes / 2, std::string("GEMM ") + dim + " = " + std::to_string(v) +
+                                     " exceeds the kernel's 32-bit parameters (at most " +
+                                     std::to_string(kMaxBytes / 2) + ")");
+  }
+  // Each dimension is < 2^30 now, so the products below cannot wrap.
+  const auto check_operand = [&](const char* dims, std::size_t rows, std::size_t cols) {
+    TC_CHECK(rows * cols * 2 <= kMaxBytes,
+             std::string("GEMM ") + dims + " = " + std::to_string(rows) + " x " +
+                 std::to_string(cols) + " is " + std::to_string(rows * cols * 2) +
+                 " bytes, beyond the kernel's 32-bit offsets (at most " +
+                 std::to_string(kMaxBytes) + ")");
+  };
+  check_operand("m x k", s.m, s.k);
+  check_operand("n x k", s.n, s.k);
+  check_operand("m x n", s.m, s.n);
+}
+
 struct HgemmConfig {
   // Thread-block tile (shared memory blocking).
   int bm = 256, bn = 256, bk = 32;

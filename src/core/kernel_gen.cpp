@@ -62,6 +62,7 @@ class HgemmGenerator {
         z_indexed_(variant.batched || cfg.split_k > 1),
         b_(kernel_name(cfg, ep, variant), /*unscheduled=*/true) {
     cfg_.check();
+    check_kernel_shape(shape);
     const auto slice = static_cast<std::size_t>(cfg_.slice_k(shape));
     TC_CHECK(shape.m % static_cast<std::size_t>(cfg.bm) == 0 &&
                  shape.n % static_cast<std::size_t>(cfg.bn) == 0 &&
@@ -619,6 +620,7 @@ sass::Program hgemm_kernel(const HgemmConfig& cfg, const GemmShape& shape,
 sass::Program reduce_epilogue_kernel_virtual(const ReducePlan& plan) {
   TC_CHECK(plan.m >= 1 && plan.n >= 2 && plan.n % 2 == 0,
            "reduce_epilogue_kernel needs an even column count");
+  check_kernel_shape({plan.m, plan.n, 1});
   TC_CHECK(plan.parts >= 1 && plan.parts <= 64, "parts must be in [1, 64]");
   TC_CHECK(plan.parts > 1 || plan.bias || !plan.epilogue.is_default(),
            "a 1-part reduction with a default epilogue is the identity");
@@ -714,6 +716,7 @@ sass::Program reduce_epilogue_kernel(const ReducePlan& plan) {
 }
 
 sass::Program wmma_naive_kernel_virtual(const GemmShape& shape) {
+  check_kernel_shape(shape);
   TC_CHECK(shape.m % 16 == 0 && shape.n % 128 == 0 && shape.k % 16 == 0,
            "wmma_naive needs m%16 == 0, n%128 == 0, k%16 == 0 (the hgemm API pads)");
   KernelBuilder b("hgemm_wmma_naive", /*unscheduled=*/true);

@@ -4,6 +4,7 @@
 #include <array>
 #include <deque>
 #include <memory>
+#include <optional>
 
 #include "common/error.hpp"
 #include "mem/banked_smem.hpp"
@@ -19,37 +20,51 @@ namespace tc::sim {
 
 namespace {
 
-struct CapturedGpr {
+/// One instruction's writes to one register: lane mask + per-lane values.
+struct CapturedRow {
   sass::Reg reg;
-  std::uint8_t lane;
-  std::uint32_t value;
+  std::uint32_t mask = 0;
+  LaneRow values{};
 };
+/// One instruction's writes to one predicate: lane mask + per-lane bits.
 struct CapturedPred {
   sass::Pred pred;
-  std::uint8_t lane;
-  bool value;
+  std::uint32_t mask = 0;
+  std::uint32_t bits = 0;
 };
 
-/// Buffers the writes of one instruction so the engine can retime them.
+/// Buffers the writes of one instruction, one row per destination register,
+/// so the engine can retime them. Loads emit lane-major with the register
+/// index inner, so the row is looked up by register, not just the newest.
 class CaptureSink final : public WriteSink {
  public:
   void gpr(sass::Reg r, int lane, std::uint32_t value) override {
-    gprs.push_back({r, static_cast<std::uint8_t>(lane), value});
+    CapturedRow& row = row_for(r);
+    row.mask |= 1u << lane;
+    row.values[static_cast<std::size_t>(lane)] = value;
   }
   void pred(sass::Pred p, int lane, bool value) override {
-    preds.push_back({p, static_cast<std::uint8_t>(lane), value});
+    auto it = std::find_if(preds.begin(), preds.end(),
+                           [&](const CapturedPred& c) { return c.pred == p; });
+    if (it == preds.end()) it = preds.insert(preds.end(), CapturedPred{p});
+    const std::uint32_t bit = 1u << lane;
+    it->mask |= bit;
+    it->bits = value ? (it->bits | bit) : (it->bits & ~bit);
   }
   void clear() {
     gprs.clear();
     preds.clear();
   }
-  std::vector<CapturedGpr> gprs;
+  std::vector<CapturedRow> gprs;
   std::vector<CapturedPred> preds;
-};
 
-struct PendingPred {
-  std::uint64_t due;
-  CapturedPred w;
+ private:
+  CapturedRow& row_for(sass::Reg r) {
+    for (auto& row : gprs) {
+      if (row.reg == r) return row;
+    }
+    return gprs.emplace_back(CapturedRow{r});
+  }
 };
 
 struct TWarp {
@@ -59,7 +74,6 @@ struct TWarp {
   bool at_barrier = false;
   std::uint64_t ready_cycle = 0;
   std::array<int, sass::kNumBarriers> scoreboard{};
-  std::vector<PendingPred> pending_preds;
   int cta_index = 0;
   int warp_in_cta = 0;
 };
@@ -74,7 +88,7 @@ struct TCta {
 struct MioOp {
   int warp = 0;
   MemAccess access;
-  std::vector<CapturedGpr> load_writes;  // applied at data arrival
+  std::vector<CapturedRow> load_writes;  // applied at data arrival
   std::uint8_t write_barrier = sass::kNoBarrier;
   std::uint8_t read_barrier = sass::kNoBarrier;
   // Classification (filled on first service attempt).
@@ -102,7 +116,7 @@ struct TimedSm::Impl {
   TimedConfig cfg;
   mem::GlobalMemory& gmem;
   mem::SectorCache l1;
-  mem::SectorCache l2;
+  std::optional<mem::SectorCache> l2;  // private tag array; absent when cfg.shared is set
   mem::TokenBucket dram_bw;
   mem::TokenBucket l2_bw;
   MemLatency lat;
@@ -133,35 +147,26 @@ struct TimedSm::Impl {
   TimedStats stats;
   CaptureSink sink;
   std::uint64_t now = 0;
+  // Quiet-cycle fast path: after a cycle in which nothing happened, no state
+  // can change before `wake` (see next_change()), so the cycles in between
+  // only tick the private buckets. Off under a profiler, which attributes
+  // every cycle.
+  std::uint64_t wake = 0;
   bool running = false;
 
   Impl(TimedConfig c, mem::GlobalMemory& g)
       : cfg(c),
         gmem(g),
         l1(c.spec.l1_size_bytes, c.spec.l1_ways),
-        l2(c.spec.l2_size_bytes, c.spec.l2_ways),
         dram_bw(c.dram_bytes_per_cycle > 0 ? c.dram_bytes_per_cycle
                                            : c.spec.dram_bytes_per_cycle()),
         l2_bw(c.l2_bytes_per_cycle > 0 ? c.l2_bytes_per_cycle : c.spec.l2_bytes_per_cycle()),
-        lat(mem_latency(c.spec)) {}
+        lat(mem_latency(c.spec)) {
+    if (c.shared == nullptr) l2.emplace(c.spec.l2_size_bytes, c.spec.l2_ways);
+  }
 
   // Round-robin partition assignment by global warp index, as on hardware.
   [[nodiscard]] int partition_of(int w) const { return w % partitions; }
-
-  void settle_warp(TWarp& w) {
-    w.regs.settle(now);
-    if (!w.pending_preds.empty()) {
-      auto keep = w.pending_preds.begin();
-      for (auto it = w.pending_preds.begin(); it != w.pending_preds.end(); ++it) {
-        if (it->due <= now) {
-          w.regs.write_pred(it->w.pred, it->w.lane, it->w.value);
-        } else {
-          *keep++ = *it;
-        }
-      }
-      w.pending_preds.erase(keep, w.pending_preds.end());
-    }
-  }
 
   /// Classifies one global access: which bytes come from L1/L2/DRAM, what
   /// MIO cost and latency it has. Mutates cache tag state (done exactly once
@@ -203,7 +208,7 @@ struct TimedSm::Impl {
         std::lock_guard lock(cfg.shared->l2_mutex);
         l2_hit = cfg.shared->l2.access(s) == mem::HitLevel::kHit;
       } else {
-        l2_hit = l2.access(s) == mem::HitLevel::kHit;
+        l2_hit = l2->access(s) == mem::HitLevel::kHit;
       }
       if (l2_hit) {
         l2_bytes += mem::kSectorBytes;
@@ -287,6 +292,7 @@ struct TimedSm::Impl {
     stats = TimedStats{};
     forced_l2_accum = 0.0;
     now = 0;
+    wake = 0;
     running = true;
   }
 
@@ -323,10 +329,6 @@ struct TimedSm::Impl {
         if (wptr->cta_index != ci) continue;
         TWarp& w = *wptr;
         w.regs.settle_all();
-        for (const auto& pp : w.pending_preds) {
-          w.regs.write_pred(pp.w.pred, pp.w.lane, pp.w.value);
-        }
-        w.pending_preds.clear();
         cfg.probe->capture(w.regs, cta.coord.x, cta.coord.y, cta.coord.z, w.warp_in_cta);
       }
     }
@@ -343,9 +345,37 @@ struct TimedSm::Impl {
       w.at_barrier = false;
       w.ready_cycle = now + 1;  // launched CTA starts issuing next cycle
       w.scoreboard.fill(0);
-      w.pending_preds.clear();
       ++alive;
     }
+  }
+
+  /// Earliest cycle after a quiet cycle `now` at which the engine's state
+  /// can change. With no issue, release, MSHR retirement, MIO service or
+  /// slot refill this cycle, every blocked warp stays blocked until one of:
+  /// its stall count ends, a scoreboard release or MSHR retirement falls
+  /// due, the MIO unit frees, or a pipe frees. A warp that is ready is
+  /// settled every cycle, so its next register or predicate commit is an
+  /// event too: committing two due writes at once instead of one per cycle
+  /// would change which of a write-after-write pair lands last.
+  [[nodiscard]] std::uint64_t next_change() const {
+    std::uint64_t t = WarpRegs::kNever;
+    const auto later = [&](std::uint64_t c) {
+      if (c > now) t = std::min(t, c);
+    };
+    for (const auto& wptr : warps) {
+      const TWarp& w = *wptr;
+      if (w.exited || w.at_barrier) continue;
+      later(w.ready_cycle > now ? w.ready_cycle : w.regs.next_due());
+    }
+    for (const auto& r : releases) later(r.due);
+    for (const auto c : mshr_release) later(c);
+    if (!mio_queue.empty()) later(mio_free);
+    for (int p = 0; p < partitions; ++p) {
+      later(tensor_free[static_cast<std::size_t>(p)]);
+      later(fma_free[static_cast<std::size_t>(p)]);
+      later(alu_free[static_cast<std::size_t>(p)]);
+    }
+    return t;
   }
 
   void step_cycle() {
@@ -354,6 +384,11 @@ struct TimedSm::Impl {
       dram_bw.tick();
       l2_bw.tick();
     }
+    if (now < wake) {
+      ++now;
+      return;
+    }
+    bool changed = false;
 
     // --- scoreboard releases -----------------------------------------------
     if (!releases.empty()) {
@@ -367,6 +402,7 @@ struct TimedSm::Impl {
           *keep++ = *it;
         }
       }
+      changed |= keep != releases.end();
       releases.erase(keep, releases.end());
     }
 
@@ -380,6 +416,7 @@ struct TimedSm::Impl {
           *keep++ = *it;
         }
       }
+      changed |= keep != mshr_release.end();
       mshr_release.erase(keep, mshr_release.end());
     }
 
@@ -444,8 +481,8 @@ struct TimedSm::Impl {
         }
 
         TWarp& w = *warps[static_cast<std::size_t>(op.warp)];
-        for (const auto& cw : op.load_writes) {
-          w.regs.write_at(cw.reg, cw.lane, cw.value, arrive);
+        for (const auto& row : op.load_writes) {
+          w.regs.write_row_at(row.reg, row.mask, row.values, arrive);
         }
         if (op.write_barrier != sass::kNoBarrier) {
           releases.push_back({arrive, op.warp, op.write_barrier});
@@ -454,6 +491,7 @@ struct TimedSm::Impl {
           releases.push_back({mio_free, op.warp, op.read_barrier});
         }
         mio_queue.pop_front();
+        changed = true;
       }
     }
 
@@ -462,7 +500,7 @@ struct TimedSm::Impl {
       // Profiling pre-pass: classify every resident warp's scheduler state
       // this cycle with the same checks the issue loop applies, so idle
       // cycles can be attributed per warp and per PC (the software analogue
-      // of Nsight's warp-state sampling). settle_warp is time-driven and
+      // of Nsight's warp-state sampling). WarpRegs::settle is time-driven and
       // idempotent, so running it here does not perturb the issue loop.
       if (prof != nullptr) {
         for (int wi = 0; wi < num_warps; ++wi) {
@@ -476,7 +514,7 @@ struct TimedSm::Impl {
           } else if (w.ready_cycle > now) {
             state = static_cast<std::uint8_t>(prof::StallReason::kStallCount);
           } else {
-            settle_warp(w);
+            w.regs.settle(now);
             const auto& inst = prog->code[static_cast<std::size_t>(w.pc)];
             bool waiting = false;
             for (int b = 0; b < sass::kNumBarriers; ++b) {
@@ -516,16 +554,19 @@ struct TimedSm::Impl {
         }
       }
 
-      // Collect this partition's warps in rotating order.
+      // Probe this partition's warps (p, p + partitions, ...) in rotating
+      // order, from the first one at or after rr[p].
       int issued_warp = -1;
       std::int32_t issued_pc = -1;
       const sass::Instruction* issued_inst = nullptr;
-      for (int probe = 0; probe < num_warps; ++probe) {
-        const int wi = (rr[static_cast<std::size_t>(p)] + probe) % num_warps;
-        if (partition_of(wi) != p) continue;
+      const int start = rr[static_cast<std::size_t>(p)];
+      const int first = start + (p - start % partitions + partitions) % partitions;
+      const int members = p < num_warps ? (num_warps - 1 - p) / partitions + 1 : 0;
+      for (int k = 0, wi = first < num_warps ? first : p; k < members;
+           ++k, wi = wi + partitions < num_warps ? wi + partitions : p) {
         TWarp& w = *warps[static_cast<std::size_t>(wi)];
         if (w.exited || w.at_barrier || w.ready_cycle > now) continue;
-        settle_warp(w);
+        w.regs.settle(now);
         const auto& inst = prog->code[static_cast<std::size_t>(w.pc)];
 
         // Scoreboard waits.
@@ -627,13 +668,13 @@ struct TimedSm::Impl {
             prof->on_mio_queue_depth(static_cast<int>(mio_queue.size()));
           }
         } else {
-          for (const auto& cw : sink.gprs) {
-            const int off = cw.reg.idx - inst.dst.idx;
-            w.regs.write_at(cw.reg, cw.lane, cw.value,
-                            now + static_cast<std::uint64_t>(fixed_latency(inst, off)));
+          for (const auto& row : sink.gprs) {
+            const int off = row.reg.idx - inst.dst.idx;
+            w.regs.write_row_at(row.reg, row.mask, row.values,
+                                now + static_cast<std::uint64_t>(fixed_latency(inst, off)));
           }
           for (const auto& cp : sink.preds) {
-            w.pending_preds.push_back({now + kAluLatency, cp});
+            w.regs.write_pred_at(cp.pred, cp.mask, cp.bits, now + kAluLatency);
           }
         }
 
@@ -667,6 +708,7 @@ struct TimedSm::Impl {
       }
       if (issued_warp >= 0) {
         rr[static_cast<std::size_t>(p)] = (issued_warp + 1) % num_warps;
+        changed = true;
       }
 
       // Profiling post-pass: report the issue, charge each blocked warp one
@@ -735,9 +777,11 @@ struct TimedSm::Impl {
         }
         // Source drained: the slot stays empty for the rest of the run.
       }
+      changed |= keep != free_slots.end();
       free_slots.erase(keep, free_slots.end());
     }
 
+    if (!changed && prof == nullptr) wake = next_change();
     ++now;
   }
 
@@ -749,10 +793,6 @@ struct TimedSm::Impl {
     // differential fuzzer flags exactly this as a divergence).
     for (auto& w : warps) {
       w->regs.settle_all();
-      for (const auto& pp : w->pending_preds) {
-        w->regs.write_pred(pp.w.pred, pp.w.lane, pp.w.value);
-      }
-      w->pending_preds.clear();
       if (cfg.probe != nullptr) {
         const CtaCoord coord = cta_state[static_cast<std::size_t>(w->cta_index)].coord;
         cfg.probe->capture(w->regs, coord.x, coord.y, coord.z, w->warp_in_cta);

@@ -329,6 +329,15 @@ TEST(CliContract, BadCountsAndShapesFailClosedNamingTheInput) {
   fails_naming("op --m 64 --n 64 --k 64 --split-k 0", "--split-k");
   fails_naming("disasm --m 18446744073709551615", "GEMM m = 18446744073709551615");
   fails_naming("perf --n 18446744073709551615", "GEMM n = 18446744073709551615");
+  fails_naming("disasm --m -1", "--m");
+  fails_naming("disasm --m 256abc", "--m");
+  fails_naming("disasm --n 0x100", "--n");
+  fails_naming("disasm --k 18446744073709551616", "--k");
+  fails_naming("fuzz --programs 1 --seed -1", "--seed");
+  fails_naming("fuzz --programs 1 --seed 7q", "--seed");
+  // Shapes the generated kernel's 32-bit parameters cannot hold.
+  fails_naming("disasm --m 4294967296", "GEMM m = 4294967296");
+  fails_naming("disasm --m 65536 --n 256 --k 32768", "GEMM m x k = 65536 x 32768");
   std::filesystem::remove(err);
 }
 

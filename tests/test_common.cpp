@@ -12,6 +12,7 @@
 #include "common/matrix.hpp"
 #include "common/table.hpp"
 #include "core/config.hpp"
+#include "core/kernel_gen.hpp"
 
 namespace tc {
 namespace {
@@ -111,6 +112,32 @@ TEST(HgemmConfig, ContractShapeRejectsPaddingOverflow) {
     EXPECT_NE(std::string(e.what()).find("GEMM m = 18446744073709551615"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(HgemmConfig, KernelShapeMustFit32BitParameters) {
+  // Generated kernels take byte strides and operand extents as signed 32-bit
+  // immediates; a shape beyond them used to generate a kernel for the
+  // truncated shape (m = 2^32 became m = 0).
+  const auto expect_rejected = [](const GemmShape& s, const std::string& name) {
+    try {
+      core::check_kernel_shape(s);
+      ADD_FAILURE() << name << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected({4294967296u, 256, 64}, "GEMM m = 4294967296");
+  expect_rejected({256, 256, 1u << 30}, "GEMM k = 1073741824");
+  expect_rejected({65536, 256, 32768}, "GEMM m x k = 65536 x 32768");
+  expect_rejected({256, 65536, 32768}, "GEMM n x k = 65536 x 32768");
+  expect_rejected({32768, 32768, 64}, "GEMM m x n = 32768 x 32768");
+  // The largest extents that still fit are accepted.
+  core::check_kernel_shape({(1u << 30) - 1, 1, 1});
+  core::check_kernel_shape({16384, 16384, 16384});
+  // Generation applies the check before narrowing anything.
+  const auto cfg = core::HgemmConfig::optimized();
+  EXPECT_THROW((void)core::hgemm_kernel(cfg, cfg.contract_shape({4294967296u, 256, 64})),
+               Error);
 }
 
 TEST(HgemmConfig, SmemFootprints) {

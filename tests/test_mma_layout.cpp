@@ -234,16 +234,94 @@ TEST(Imma, Int8MatrixMultiply) {
   }
 }
 
+// A pending row holding `value` in lane `lane` only.
+LaneRow lane_value(int lane, std::uint32_t value) {
+  LaneRow row{};
+  row[static_cast<std::size_t>(lane)] = value;
+  return row;
+}
+
 TEST(RegFile, DelayedWritebackIsInvisibleUntilDue) {
   WarpRegs regs;
   regs.write_now(sass::Reg{0}, 0, 111);
-  regs.write_at(sass::Reg{0}, 0, 222, /*due=*/10);
+  regs.write_row_at(sass::Reg{0}, 1u << 0, lane_value(0, 222), /*due=*/10);
   regs.settle(9);
   EXPECT_EQ(regs.read(sass::Reg{0}, 0), 111u);  // stale value: the hazard
   EXPECT_TRUE(regs.has_pending(sass::Reg{0}));
+  EXPECT_EQ(regs.next_due(), 10u);
   regs.settle(10);
   EXPECT_EQ(regs.read(sass::Reg{0}, 0), 222u);
   EXPECT_FALSE(regs.has_pending(sass::Reg{0}));
+  EXPECT_EQ(regs.next_due(), WarpRegs::kNever);
+}
+
+// Two writes to one (reg, lane), the later-queued one due earlier. All due
+// writes commit in queue order at each settle, so the outcome depends on
+// which settles run: one settle past both dues lets the later-queued write
+// land last; settling between the dues lets the earlier-queued one land last.
+TEST(RegFile, WriteAfterWriteWithOutOfOrderDuesCommitsInQueueOrder) {
+  const auto queue_pair = [](WarpRegs& regs) {
+    regs.write_row_at(sass::Reg{3}, 1u << 5, lane_value(5, 111), /*due=*/20);
+    regs.write_row_at(sass::Reg{3}, 1u << 5, lane_value(5, 222), /*due=*/10);
+  };
+  WarpRegs once;
+  queue_pair(once);
+  EXPECT_EQ(once.next_due(), 10u);
+  once.settle(25);
+  EXPECT_EQ(once.read(sass::Reg{3}, 5), 222u);
+
+  WarpRegs twice;
+  queue_pair(twice);
+  twice.settle(10);
+  EXPECT_EQ(twice.read(sass::Reg{3}, 5), 222u);
+  EXPECT_EQ(twice.next_due(), 20u);
+  twice.settle(20);
+  EXPECT_EQ(twice.read(sass::Reg{3}, 5), 111u);
+}
+
+TEST(RegFile, PartialLaneMaskLeavesOtherLanesAlone) {
+  WarpRegs regs;
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    regs.write_now(sass::Reg{7}, lane, 1000u + static_cast<std::uint32_t>(lane));
+  }
+  LaneRow values{};
+  values.fill(5);
+  regs.write_row_at(sass::Reg{7}, 0x80000005u, values, /*due=*/3);
+  regs.settle(3);
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    const bool written = lane == 0 || lane == 2 || lane == 31;
+    EXPECT_EQ(regs.read(sass::Reg{7}, lane),
+              written ? 5u : 1000u + static_cast<std::uint32_t>(lane))
+        << lane;
+  }
+}
+
+// An LDS.128-style writeback: four consecutive registers, each a full row,
+// plus a predicate row; settle_all commits every one regardless of due.
+TEST(RegFile, MultiRegisterRowWriteCommitsUnderSettleAll) {
+  WarpRegs regs;
+  for (std::uint8_t r = 0; r < 4; ++r) {
+    LaneRow values{};
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+      values[static_cast<std::size_t>(lane)] = 100u * r + static_cast<std::uint32_t>(lane);
+    }
+    regs.write_row_at(sass::Reg{static_cast<std::uint8_t>(8 + r)}, 0xFFFFFFFFu, values,
+                      /*due=*/1000 + r);
+  }
+  regs.write_pred_at(sass::Pred{1}, 0x0000FFFFu, 0x00000F0Fu, /*due=*/2000);
+  regs.write_row_at(sass::RZ, 0xFFFFFFFFu, LaneRow{}, /*due=*/1);  // dropped
+  regs.settle(999);
+  EXPECT_EQ(regs.read(sass::Reg{8}, 0), 0u);
+  EXPECT_EQ(regs.next_due(), 1000u);
+  regs.settle_all();
+  for (std::uint8_t r = 0; r < 4; ++r) {
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+      EXPECT_EQ(regs.read(sass::Reg{static_cast<std::uint8_t>(8 + r)}, lane),
+                100u * r + static_cast<std::uint32_t>(lane));
+    }
+  }
+  EXPECT_EQ(regs.pred_mask(sass::Pred{1}), 0x00000F0Fu);
+  EXPECT_EQ(regs.next_due(), WarpRegs::kNever);
 }
 
 TEST(RegFile, RzReadsZeroAndDropsWrites) {

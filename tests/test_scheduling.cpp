@@ -8,8 +8,10 @@
 #include "core/kernel_gen.hpp"
 #include "core/reference.hpp"
 #include "driver/device.hpp"
+#include "prof/profiler.hpp"
 #include "sass/builder.hpp"
 #include "sim/probe.hpp"
+#include "sim/timed_sm.hpp"
 
 namespace tc {
 namespace {
@@ -33,6 +35,54 @@ double steady_cycles(const core::HgemmConfig& cfg, int iters, double l2_hit = 0.
   sim::TimedSm sm(tc, gmem);
   const sim::CtaCoord cta{0, 0};
   return static_cast<double>(sm.run(launch, std::span(&cta, 1)).cycles);
+}
+
+/// TimedStats plus the global words a one-CTA TimedSm run left at `out`.
+struct SmRun {
+  sim::TimedStats stats;
+  std::vector<std::uint32_t> out;
+};
+
+/// Runs one CTA of `prog` with params (in, out) over `words` 32-bit words
+/// each; `in` holds 1, 2, 3, ... .
+SmRun run_one_cta(const sass::Program& prog, std::size_t words, prof::Profiler* profiler,
+                  std::uint64_t max_cycles = 4'000'000'000ull) {
+  mem::GlobalMemory gmem;
+  const auto in = gmem.alloc(words * 4);
+  const auto out = gmem.alloc(words * 4);
+  std::vector<std::uint32_t> host(words);
+  for (std::size_t i = 0; i < words; ++i) host[i] = static_cast<std::uint32_t>(i + 1);
+  gmem.write(in, std::span(reinterpret_cast<const std::uint8_t*>(host.data()), words * 4));
+  sim::Launch launch;
+  launch.program = &prog;
+  launch.params = {in, out};
+  sim::TimedConfig tc;
+  tc.spec = device::rtx2070();
+  tc.profiler = profiler;
+  tc.max_cycles = max_cycles;
+  sim::TimedSm sm(tc, gmem);
+  const sim::CtaCoord cta{0, 0};
+  SmRun run;
+  run.stats = sm.run(launch, std::span(&cta, 1));
+  run.out.resize(words);
+  gmem.read(out, std::span(reinterpret_cast<std::uint8_t*>(run.out.data()), words * 4));
+  return run;
+}
+
+void expect_same_stats(const sim::TimedStats& a, const sim::TimedStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.hmma_count, b.hmma_count);
+  EXPECT_EQ(a.tensor_busy, b.tensor_busy);
+  EXPECT_EQ(a.fma_busy, b.fma_busy);
+  EXPECT_EQ(a.alu_busy, b.alu_busy);
+  EXPECT_EQ(a.mio_busy, b.mio_busy);
+  EXPECT_EQ(a.mio_bw_stall, b.mio_bw_stall);
+  EXPECT_EQ(a.l1_bytes, b.l1_bytes);
+  EXPECT_EQ(a.l2_bytes, b.l2_bytes);
+  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+  EXPECT_EQ(a.smem_beats, b.smem_beats);
+  EXPECT_EQ(a.smem_phases, b.smem_phases);
 }
 
 double slope(const core::HgemmConfig& cfg) {
@@ -350,6 +400,90 @@ TEST(Scheduling, ReuseFlagsHaveNoTimingEffect) {
     return sm.run(launch, std::span(&cta, 1)).cycles;
   };
   EXPECT_EQ(run(prog_plain), run(prog_reuse));
+}
+
+TEST(Scheduling, ProfilerDoesNotMoveTimedStats) {
+  // A warp blocked on a long LDG scoreboard wait while two writes to R9 are
+  // pending out of order: the HMMA's high half, queued first and due at
+  // +14, and a MOV's, queued second and due earlier. A ready warp is settled
+  // every cycle, so the MOV commits first and the HMMA's value lands last.
+  // The engine skips quiet cycles only without a profiler; both runs must
+  // agree on every statistic and on the stored value.
+  sass::KernelBuilder b("waw_behind_scoreboard");
+  b.threads(32);
+  b.mov_param(sass::Reg{10}, 0).stall(1);
+  b.mov_param(sass::Reg{11}, 1).stall(13);
+  b.s2r(sass::Reg{12}, sass::SpecialReg::kLaneId).stall(13);
+  b.shl(sass::Reg{13}, sass::Reg{12}, 2).stall(6);
+  b.iadd3(sass::Reg{14}, sass::Reg{13}, sass::Reg{10}).stall(1);  // in + lane*4
+  b.iadd3(sass::Reg{15}, sass::Reg{13}, sass::Reg{11}).stall(1);  // out + lane*4
+  b.mov_imm(sass::Reg{2}, half2{half(1.0f), half(1.0f)}.pack()).stall(1);
+  b.mov_imm(sass::Reg{3}, half2{half(1.0f), half(1.0f)}.pack()).stall(1);
+  b.mov_imm(sass::Reg{6}, half2{half(1.0f), half(1.0f)}.pack()).stall(6);
+  b.ldg(sass::MemWidth::k32, sass::Reg{20}, sass::Reg{14}).write_bar(0).stall(1);
+  b.hmma_1688_f16(sass::Reg{8}, sass::Reg{2}, sass::Reg{6}, sass::RZ).stall(3);
+  b.mov_imm(sass::Reg{9}, 0x12345678).stall(1);  // due at +9 relative to the HMMA
+  b.nop().wait_on(0).stall(1);
+  b.iadd3(sass::Reg{9}, sass::Reg{9}, sass::Reg{20}).stall(6);  // + in[lane]
+  b.stg(sass::MemWidth::k32, sass::Reg{15}, sass::Reg{9}).stall(1);
+  b.exit();
+  const auto waw = b.finalize();
+
+  prof::Profiler profiler;
+  const SmRun plain = run_one_cta(waw, 32, nullptr);
+  const SmRun profiled = run_one_cta(waw, 32, &profiler);
+  expect_same_stats(plain.stats, profiled.stats);
+  EXPECT_EQ(plain.out, profiled.out);
+  const std::uint32_t eight = half2{half(8.0f), half(8.0f)}.pack();  // 8 ones summed
+  for (std::uint32_t lane = 0; lane < 32; ++lane) {
+    EXPECT_EQ(plain.out[lane], eight + lane + 1) << "lane " << lane;
+  }
+
+  // The same agreement on one CTA of the optimized HGEMM, math included.
+  const auto cfg = core::HgemmConfig::optimized();
+  const GemmShape s{static_cast<std::size_t>(cfg.bm), static_cast<std::size_t>(cfg.bn),
+                    static_cast<std::size_t>(cfg.bk) * 2};
+  const auto hgemm = core::hgemm_kernel(cfg, s);
+  const auto run_hgemm = [&](prof::Profiler* p) {
+    mem::GlobalMemory gmem;
+    sim::Launch launch;
+    launch.program = &hgemm;
+    launch.params = {gmem.alloc(s.m * s.k * 2), gmem.alloc(s.n * s.k * 2),
+                     gmem.alloc(s.m * s.n * 2)};
+    sim::TimedConfig tc;
+    tc.spec = device::rtx2070();
+    tc.profiler = p;
+    sim::TimedSm sm(tc, gmem);
+    const sim::CtaCoord cta{0, 0};
+    return sm.run(launch, std::span(&cta, 1));
+  };
+  prof::Profiler hgemm_profiler;
+  expect_same_stats(run_hgemm(nullptr), run_hgemm(&hgemm_profiler));
+}
+
+TEST(Scheduling, DeadlockStillExceedsMaxCycles) {
+  // Warp 1 spins on a branch and never reaches the barrier warp 0 waits at;
+  // between its branches the SM is quiet. The cycle cap must still fire.
+  sass::KernelBuilder b("spin_vs_barrier");
+  b.threads(64);
+  b.s2r(sass::Reg{10}, sass::SpecialReg::kTidX).stall(13);
+  b.shr(sass::Reg{11}, sass::Reg{10}, 5).stall(6);  // warp id
+  b.isetp_imm(sass::Pred{0}, sass::CmpOp::kNe, sass::Reg{11}, 0).stall(6);
+  b.label("spin");
+  b.bra("spin").pred(sass::Pred{0});
+  b.bar_sync().stall(1);
+  b.exit();
+  const auto prog = b.finalize();
+  for (prof::Profiler* p : {static_cast<prof::Profiler*>(nullptr), new prof::Profiler}) {
+    const std::unique_ptr<prof::Profiler> owned(p);
+    try {
+      run_one_cta(prog, 64, p, /*max_cycles=*/20'000);
+      ADD_FAILURE() << "deadlocked kernel ran to completion";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeded max_cycles"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
