@@ -530,6 +530,19 @@ FuzzCase generate_case(std::uint64_t seed, const FuzzOptions& opts) {
   return gen.build(seed);
 }
 
+FuzzCase strip_schedule(const FuzzCase& c) {
+  FuzzCase v = c;
+  // The generator emits NOPs only to carry control words (the prologue tail
+  // and barrier drains), so without a schedule they are dead weight.
+  for (int i = static_cast<int>(v.prog.code.size()) - 1; i >= 0; --i) {
+    if (v.prog.code[static_cast<std::size_t>(i)].op == sass::Opcode::kNop) {
+      v.prog = remove_instruction(v.prog, i);
+    }
+  }
+  for (auto& inst : v.prog.code) inst.ctrl = sass::ControlInfo{};
+  return v;
+}
+
 std::optional<std::string> run_case(const FuzzCase& c, const FuzzOptions& opts) {
   try {
     const bool jit_mode = opts.compare == FuzzCompare::kJitVsInterpreter;
@@ -663,13 +676,7 @@ FuzzReport run_fuzz(std::uint64_t base_seed, int count, const FuzzOptions& opts)
     // race-free; the detector must agree, or one of them is wrong.
     const auto diags = find_hazards(c.prog);
     if (sass::has_errors(diags)) {
-      std::string detail;
-      for (const auto& d : diags) {
-        if (d.severity == sass::DiagSeverity::kError) {
-          detail += sass::format(d) + "\n";
-        }
-      }
-      rep.failures.push_back({seed, "hazard", detail, c.prog.disassemble(),
+      rep.failures.push_back({seed, "hazard", sass::format_errors(diags), c.prog.disassemble(),
                               static_cast<int>(c.prog.code.size()),
                               static_cast<int>(c.prog.code.size())});
       continue;

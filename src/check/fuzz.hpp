@@ -18,6 +18,9 @@
 // instruction deletion (branch targets re-fixed, candidates that fail
 // validation or introduce hazard-detector errors are skipped) until no
 // single removal preserves the divergence.
+//
+// The same generator also feeds the scheduler fuzzer (sched/fuzz.hpp):
+// strip_schedule() removes a case's hand schedule, leaving a virtual program.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +88,11 @@ struct FuzzReport {
 
 /// Deterministically generates the test case for `seed`.
 FuzzCase generate_case(std::uint64_t seed, const FuzzOptions& opts);
+
+/// The same case with its hand schedule removed: every control word reset to
+/// the default and the control-only NOPs dropped (branches re-targeted). The
+/// result is a virtual program for tc::sched::schedule().
+FuzzCase strip_schedule(const FuzzCase& c);
 
 /// Runs one case through both executors; returns a description of the first
 /// divergence (register, predicate, or memory), or nullopt on agreement.

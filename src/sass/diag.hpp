@@ -47,4 +47,13 @@ inline int count_errors(const std::vector<Diag>& diags) {
   return n;
 }
 
+/// The error-severity findings only, formatted one per line.
+inline std::string format_errors(const std::vector<Diag>& diags) {
+  std::string s;
+  for (const auto& d : diags) {
+    if (d.severity == DiagSeverity::kError) s += format(d) + "\n";
+  }
+  return s;
+}
+
 }  // namespace tc::sass

@@ -1,19 +1,22 @@
 // Scheduler-mode differential fuzzer.
 //
-// The counterpart to check/fuzz.hpp: instead of generating programs that are
-// hazard-free by construction (manual stalls + barriers), this generator
-// emits *virtual* programs — the same instruction mix, register map, loop
-// shapes, and multi-warp/BAR.SYNC structure, but with NO control info at all
-// (an unscheduled KernelBuilder enforces that). Each program is then run
-// through tc::sched::schedule() twice (reorder off and on) and each result
-// must
+// There is one random program generator, check::generate_case, whose
+// programs are hazard-free by construction (manual stalls + barriers). The
+// scheduler fuzzer takes each of those programs with its schedule stripped
+// (check::strip_schedule: default control words, no control-only NOPs) — the
+// same instruction mix, register map, loop shapes, and multi-warp/BAR.SYNC
+// structure, now virtual. Each virtual program is run through
+// tc::sched::schedule() twice (reorder off and on) and each result must
 //
 //   1. schedule at all (no exception from the pipeline or its verify gate),
 //   2. be clean under check::find_hazards (belt and braces — verify already
 //      gates this inside schedule()),
-//   3. agree bit-for-bit between the functional and timed executors
-//      (check::run_case), since a correctly scheduled race-free program can
-//      only diverge if the scheduler under-synchronized it.
+//   3. agree bit-for-bit between the two executors of check::run_case
+//      (functional vs timed by default), since a correctly scheduled
+//      race-free program can only diverge if the scheduler
+//      under-synchronized it. The hazard detector is segment-local, so for
+//      waits that span blocks (loop preheader hoists) this run is the only
+//      oracle.
 //
 // This lives in tc::sched rather than tc::check because it depends on the
 // scheduler; check/ must stay below sched/ in the link order so the
@@ -27,14 +30,6 @@
 #include "check/fuzz.hpp"
 
 namespace tc::sched {
-
-struct SchedFuzzOptions {
-  int max_body_ops = 24;  // upper bound on random body instructions
-  bool allow_loops = true;
-  bool allow_mma = true;
-  bool allow_multi_warp = true;
-  std::uint64_t timed_max_cycles = 2'000'000;  // deadlock guard for the timed SM
-};
 
 struct SchedFuzzFailure {
   std::uint64_t seed = 0;
@@ -51,15 +46,10 @@ struct SchedFuzzReport {
   [[nodiscard]] bool ok() const { return failures.empty(); }
 };
 
-/// Deterministically generates the virtual test case for `seed`: a program
-/// whose every control word is the default (stall 1, no barriers, no waits),
-/// packaged with reproducible launch data in check's FuzzCase shape.
-check::FuzzCase generate_virtual_case(std::uint64_t seed,
-                                      const SchedFuzzOptions& opts);
-
 /// Fuzzes `count` seeds starting at `base_seed` through the full
-/// generate -> schedule -> hazard-scan -> differential-run pipeline.
+/// generate -> strip -> schedule -> hazard-scan -> differential-run pipeline.
+/// `opts` drives both check::generate_case and check::run_case.
 SchedFuzzReport run_sched_fuzz(std::uint64_t base_seed, int count,
-                               const SchedFuzzOptions& opts = {});
+                               const check::FuzzOptions& opts = {});
 
 }  // namespace tc::sched

@@ -928,6 +928,14 @@ sass::Program schedule(const sass::Program& virt, const ScheduleOptions& opts,
   }
   for (const Block& b : blocks) {
     if (!b.self_loop) continue;
+    // Pass 5 hoists loop waits onto the last pre-loop instruction, and a
+    // wait fires before its carrier issues: were the carrier the memory op
+    // the wait is for, its barrier would not be armed yet. A NOP after a
+    // memory op that falls into the loop head keeps the carrier behind it.
+    if (b.s > 0 && is_mio(out.code[static_cast<std::size_t>(b.s - 1)].op)) {
+      auto& pad = pad_after[static_cast<std::size_t>(b.s - 1)];
+      pad = std::max<std::int64_t>(pad, 1);
+    }
     const std::int64_t t_min = loop_required_length(out.code, b, t, opts);
     int& bra_stall = stall[static_cast<std::size_t>(b.e)];
     const std::int64_t body = t[static_cast<std::size_t>(b.e)] - t[static_cast<std::size_t>(b.s)];

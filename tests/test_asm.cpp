@@ -3,6 +3,7 @@
 // kernels.
 #include <gtest/gtest.h>
 
+#include "check/fuzz.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/hgemm.hpp"
@@ -10,7 +11,6 @@
 #include "driver/device.hpp"
 #include "kernels/micro.hpp"
 #include "sass/asm_parser.hpp"
-#include "sched/fuzz.hpp"
 #include "sched/schedule.hpp"
 
 namespace tc {
@@ -74,7 +74,7 @@ TEST(Asm, LabelsAndGuardedBranches) {
 
 TEST(Asm, ErrorsCarryLineNumbers) {
   try {
-    sass::assemble(".kernel bad\nNOP\nFROB R1, R2\nEXIT\n");
+    (void)sass::assemble(".kernel bad\nNOP\nFROB R1, R2\nEXIT\n");
     FAIL() << "expected a parse error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
@@ -214,7 +214,7 @@ TEST(AsmRoundTripScheduled, ControlWordsSurviveOnFuzzCorpus) {
   // waits, reuse flags. Every one of them must survive disasm -> assemble
   // bit-exactly across a varied scheduled corpus.
   for (std::uint64_t seed = 900; seed < 925; ++seed) {
-    const auto fuzz_case = sched::generate_virtual_case(seed, {});
+    const auto fuzz_case = check::strip_schedule(check::generate_case(seed, {}));
     const auto scheduled = sched::schedule(fuzz_case.prog);
     const std::string text = ".kernel " + scheduled.name + "\n.threads " +
                              std::to_string(scheduled.cta_threads) + "\n.smem " +

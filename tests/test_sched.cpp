@@ -6,6 +6,7 @@
 // tests below.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -142,10 +143,42 @@ TEST(Sched, ReorderHoistsIndependentWorkIntoStallShadows) {
 }
 
 TEST(Sched, SchedulingIsDeterministic) {
-  const auto virt = generate_virtual_case(2026, SchedFuzzOptions{}).prog;
+  const auto virt = check::strip_schedule(check::generate_case(2026, {})).prog;
   const auto a = schedule(virt);
   const auto b = schedule(virt);
   EXPECT_EQ(a.disassemble(), b.disassemble());
+}
+
+TEST(Sched, ReorderedPreheaderWaitIssuesAfterItsLoad) {
+  // Shrunk from a fuzz divergence. Reordering hoists the MOV above the LDG,
+  // leaving the load as the last pre-loop instruction; the loop's wait for
+  // it is steady-state redundant and moves to the preheader. Were it put on
+  // the LDG itself it would fire before the barrier is armed: the LOP3 reads
+  // R28 before the load lands, and the second warp exits with it still in
+  // flight. The hazard detector is segment-local and cannot see that, so
+  // only the executors can.
+  KernelBuilder b("wait_hoist", /*unscheduled=*/true);
+  b.threads(64);
+  b.mov_param(Reg{2}, 0);
+  b.iadd3(Reg{5}, Reg{2}, Reg{33});
+  b.ldg(MemWidth::k128, Reg{28}, Reg{5});
+  b.mov_imm(Reg{32}, 4);
+  b.label("top");
+  b.land(Reg{21}, Reg{27}, Reg{28});
+  b.bra("top").pred(sass::Pred{1});
+  b.exit();
+  check::FuzzCase c;
+  c.in_bytes = 64 * 32;
+  c.out_bytes = c.in_bytes;
+  c.in_data.resize(c.in_bytes);
+  for (std::uint32_t i = 0; i < c.in_bytes; ++i) {
+    c.in_data[i] = static_cast<std::uint8_t>(0x5A + 7 * i);
+  }
+  ScheduleStats stats;
+  c.prog = schedule(b.finalize(), ScheduleOptions{}, stats);
+  EXPECT_GT(stats.reordered, 0);
+  const auto div = check::run_case(c, check::FuzzOptions{});
+  EXPECT_FALSE(div.has_value()) << *div << "\n" << c.prog.disassemble();
 }
 
 TEST(Sched, ScheduledVirtualProgramsRunEquivalently) {

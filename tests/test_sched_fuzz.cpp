@@ -1,7 +1,8 @@
 // Scheduler-mode fuzz smoke (label: fuzz_smoke): a fixed-seed sweep of
-// random virtual programs through generate -> schedule (both reorder modes)
-// -> hazard scan -> functional-vs-timed differential run. Any failure means
-// the scheduler under- or mis-synchronized a race-free program.
+// random virtual programs (check::generate_case with the schedule stripped)
+// through schedule (both reorder modes) -> hazard scan -> functional-vs-timed
+// differential run. Any failure means the scheduler under- or
+// mis-synchronized a race-free program.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,10 +13,9 @@ namespace tc::sched {
 namespace {
 
 TEST(SchedFuzzSmoke, FixedSeedSweepSchedulesCleanAndEquivalent) {
-  SchedFuzzOptions opts;
-  const auto rep = run_sched_fuzz(0x5eedULL, 250, opts);
-  EXPECT_EQ(rep.programs, 250);
-  EXPECT_EQ(rep.schedules, 500);
+  const auto rep = run_sched_fuzz(0x5eedULL, 2000);
+  EXPECT_EQ(rep.programs, 2000);
+  EXPECT_EQ(rep.schedules, 4000);
   std::string why;
   for (const auto& f : rep.failures) {
     why += "seed " + std::to_string(f.seed) + " [" + f.phase +
